@@ -70,11 +70,12 @@ campaign:
 bench-campaign:
 	cd benchmarks && $(PYTHON) -m pytest -x -q bench_campaign.py -s
 
-# Corpus-wide legacy-vs-batched A/B of the model-checking hot path.
+# Corpus-wide measurement of the model-checking hot path.
 bench-hotpath:
-	$(PYTHON) benchmarks/bench_formal_hotpath.py --compare
+	$(PYTHON) benchmarks/bench_formal_hotpath.py
 
-# The CI perf gate: quick A/B + regression check vs BENCH_formal.json.
+# The CI perf gate: quick subset vs BENCH_formal.json (pinned verdict
+# digest + deterministic solver counters).
 perf-smoke:
 	$(PYTHON) benchmarks/bench_formal_hotpath.py --quick --check
 

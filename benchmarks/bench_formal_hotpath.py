@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Formal hot-path benchmark: corpus-wide ``check_all`` before/after.
 
-This is the gate for the batched-sweep + solver-arena work: it runs every
-corpus design x variant through ``FormalEngine.check_all`` and records
+It runs every corpus design x variant through ``FormalEngine.check_all``
+and records
 
 * **wall time** of the check phase (frontend/compile time is excluded —
   the RTL frontend is unchanged by the hot-path work and would only dilute
@@ -15,16 +15,15 @@ corpus design x variant through ``FormalEngine.check_all`` and records
 
 Usage::
 
-    python bench_formal_hotpath.py --record seed          # append an entry
-    python bench_formal_hotpath.py --quick --record seed-quick
-    python bench_formal_hotpath.py --compare              # legacy vs batched
+    python bench_formal_hotpath.py                        # measure, print
+    python bench_formal_hotpath.py --quick --record quick-LABEL
     python bench_formal_hotpath.py --quick --check        # the CI gate
 
 Entries accumulate in ``BENCH_formal.json`` next to this script — a
-trajectory of measurements, oldest first.  ``--check`` compares an in-run
-legacy-vs-batched A/B (wall-clock ratio, valid because both halves run on
-the same machine in the same process) and the deterministic counters
-against the recorded baseline; it exits non-zero on a >25% regression.
+trajectory of measurements, oldest first.  ``--check`` compares the run
+against the newest recorded entry of the same configuration: it exits
+non-zero when the verdict digest differs from the recorded one or when a
+deterministic counter grew by more than 25%.
 
 Methodology notes live in ``benchmarks/README.md``.
 """
@@ -56,9 +55,6 @@ QUICK_CASE_IDS = ["A1", "A2", "A5", "E10", "O1"]
 #: are deterministic, so any drift at all means the algorithm changed; the
 #: slack only absorbs deliberate small tweaks that were not re-recorded.
 COUNTER_TOLERANCE = 0.25
-#: --check also fails when the in-run batched-vs-legacy speedup falls below
-#: this fraction of the recorded baseline speedup.
-SPEEDUP_TOLERANCE = 0.75
 
 
 def _variant_list(case):
@@ -68,19 +64,8 @@ def _variant_list(case):
     return out
 
 
-def _engine_supports_batched() -> bool:
-    """True once the engine grew the ``batched`` knob (post-refactor)."""
-    import inspect
-    return "batched" in inspect.signature(FormalEngine.__init__).parameters
-
-
-def run_corpus(case_ids, config: EngineConfig, path: str = "auto") -> dict:
-    """Check every selected design x variant; return the measurement dict.
-
-    ``path`` selects the engine orchestration: ``"batched"`` /
-    ``"legacy"`` (post-refactor engines), or ``"auto"`` for whatever the
-    engine does by default (the only choice on the seed code).
-    """
+def run_corpus(case_ids, config: EngineConfig) -> dict:
+    """Check every selected design x variant; return the measurement dict."""
     compile_cache = CompileCache()
     designs = {}
     digest_pairs = []
@@ -95,10 +80,7 @@ def run_corpus(case_ids, config: EngineConfig, path: str = "auto") -> dict:
                 + ft.testbench_sources()
             compiled = compile_cache.get_or_compile(
                 ["\n".join(sources)], case.dut_module)
-            kwargs = {}
-            if path != "auto" and _engine_supports_batched():
-                kwargs["batched"] = (path == "batched")
-            engine = FormalEngine(compiled.system, config, **kwargs)
+            engine = FormalEngine(compiled.system, config)
             begin = time.perf_counter()
             report = engine.check_all()
             wall = time.perf_counter() - begin
@@ -126,7 +108,6 @@ def run_corpus(case_ids, config: EngineConfig, path: str = "auto") -> dict:
             for key in ("propagations", "conflicts", "decisions"):
                 totals[key] += int(stats.get(key, 0))
     return {
-        "path": path,
         "designs": designs,
         "total_wall_s": round(totals["wall_s"], 3),
         "total_properties": totals["properties"],
@@ -175,6 +156,31 @@ def _latest(trajectory, quick: bool, cases=None, depth=None, frames=None):
     return None
 
 
+def _recorded_run(entry) -> dict:
+    """The measurement inside a trajectory entry.
+
+    Entries recorded while the engine still had two orchestration paths
+    keep the measured (default) path under ``"batched"``.
+    """
+    return entry.get("measured") or entry["batched"]
+
+
+def check_against(baseline, measurement) -> list:
+    """Why ``measurement`` fails the gate against ``baseline`` (or [])."""
+    recorded = _recorded_run(baseline)
+    failures = []
+    if measurement["verdict_digest"] != recorded.get("verdict_digest"):
+        failures.append(
+            f"verdict digest {measurement['verdict_digest'][:12]} != "
+            f"recorded {str(recorded.get('verdict_digest'))[:12]}")
+    for key, base_value in recorded.get("counters", {}).items():
+        now = measurement["counters"].get(key, 0)
+        if base_value and now > base_value * (1 + COUNTER_TOLERANCE):
+            failures.append(f"{key} regressed: {now} > "
+                            f"{base_value} +{COUNTER_TOLERANCE:.0%}")
+    return failures
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
@@ -190,17 +196,10 @@ def main(argv=None) -> int:
     parser.add_argument("--record", metavar="LABEL", default=None,
                         help="append a measurement entry to BENCH_formal."
                              "json under this label")
-    parser.add_argument("--path", choices=("auto", "batched", "legacy"),
-                        default="auto",
-                        help="engine orchestration to measure (default: "
-                             "the engine's default)")
-    parser.add_argument("--compare", action="store_true",
-                        help="run legacy and batched back to back, print "
-                             "the speedup and verify identical verdicts")
     parser.add_argument("--check", action="store_true",
-                        help="CI gate: --compare plus a regression check "
-                             "against the recorded baseline (exit 1 on "
-                             ">25%% counter growth or lost speedup)")
+                        help="CI gate: exit 1 when the verdict digest "
+                             "differs from the recorded baseline's or a "
+                             "counter grew by more than 25%%")
     args = parser.parse_args(argv)
 
     if args.cases:
@@ -211,76 +210,8 @@ def main(argv=None) -> int:
         case_ids = [case.case_id for case in CORPUS]
     config = EngineConfig(max_bound=args.depth, max_frames=args.frames)
 
-    if args.compare or args.check:
-        if not _engine_supports_batched():
-            print("engine has no batched/legacy split yet "
-                  "(pre-refactor build)", file=sys.stderr)
-            return 1
-        legacy = run_corpus(case_ids, config, path="legacy")
-        batched = run_corpus(case_ids, config, path="batched")
-        speedup = (legacy["total_wall_s"] / batched["total_wall_s"]
-                   if batched["total_wall_s"] else float("inf"))
-        print(f"legacy : {legacy['total_wall_s']:8.2f}s  "
-              f"counters={legacy['counters']}")
-        print(f"batched: {batched['total_wall_s']:8.2f}s  "
-              f"counters={batched['counters']}")
-        print(f"speedup: {speedup:.2f}x  "
-              f"({legacy['total_properties']} properties, "
-              f"{len(legacy['designs'])} design-variants)")
-        if legacy["verdict_digest"] != batched["verdict_digest"]:
-            def _shape(row):
-                return (row["properties"], row["proven"], row["cex"])
-            mism = [label for label in legacy["designs"]
-                    if _shape(legacy["designs"][label])
-                    != _shape(batched["designs"][label])]
-            detail = mism or "same counts; per-property status differs"
-            print(f"FAIL: verdict digests differ "
-                  f"(diverging designs: {detail})", file=sys.stderr)
-            return 1
-        print("verdicts: bit-identical across paths")
-        if args.check:
-            trajectory = _load_trajectory()
-            baseline = _latest(trajectory, quick=args.quick,
-                               cases=case_ids, depth=args.depth,
-                               frames=args.frames)
-            failures = []
-            if baseline is None:
-                print("note: no recorded baseline for this mode; "
-                      "speedup/counter gates skipped")
-            else:
-                base_speedup = baseline.get("speedup")
-                if base_speedup and speedup < base_speedup * \
-                        SPEEDUP_TOLERANCE:
-                    failures.append(
-                        f"speedup regressed: {speedup:.2f}x < "
-                        f"{SPEEDUP_TOLERANCE:.0%} of recorded "
-                        f"{base_speedup:.2f}x")
-                base_counters = (baseline.get("batched") or
-                                 baseline).get("counters", {})
-                for key, base_value in base_counters.items():
-                    now = batched["counters"].get(key, 0)
-                    if base_value and now > base_value * \
-                            (1 + COUNTER_TOLERANCE):
-                        failures.append(
-                            f"{key} regressed: {now} > "
-                            f"{base_value} +{COUNTER_TOLERANCE:.0%}")
-            if failures:
-                for failure in failures:
-                    print(f"FAIL: {failure}", file=sys.stderr)
-                return 1
-            print("regression gate: OK")
-        if args.record:
-            trajectory = _load_trajectory()
-            entry = dict(_entry_meta(args, case_ids), label=args.record,
-                         speedup=round(speedup, 3),
-                         legacy=legacy, batched=batched)
-            trajectory.append(entry)
-            BENCH_JSON.write_text(json.dumps(trajectory, indent=2) + "\n")
-            print(f"recorded -> {BENCH_JSON} (label {args.record!r})")
-        return 0
-
-    measurement = run_corpus(case_ids, config, path=args.path)
-    print(f"{measurement['path']}: {measurement['total_wall_s']:.2f}s, "
+    measurement = run_corpus(case_ids, config)
+    print(f"check_all: {measurement['total_wall_s']:.2f}s, "
           f"{measurement['total_properties']} properties, "
           f"counters={measurement['counters']}")
     print(f"verdict digest: {measurement['verdict_digest'][:16]}...")
@@ -288,13 +219,24 @@ def main(argv=None) -> int:
         print(f"  {label:<12} {row['wall_s']:7.2f}s  "
               f"{row['properties']:>3} props  {row['proven']:>3} proven  "
               f"{row['cex']:>2} cex")
+    if args.check:
+        baseline = _latest(_load_trajectory(), quick=args.quick,
+                           cases=case_ids, depth=args.depth,
+                           frames=args.frames)
+        if baseline is None:
+            print("FAIL: no recorded baseline for this configuration",
+                  file=sys.stderr)
+            return 1
+        failures = check_against(baseline, measurement)
+        for failure in failures:
+            print(f"FAIL: {failure}", file=sys.stderr)
+        if failures:
+            return 1
+        print(f"regression gate: OK (baseline {baseline['label']!r})")
     if args.record:
         trajectory = _load_trajectory()
-        entry = dict(_entry_meta(args, case_ids), label=args.record,
-                     **{measurement["path"]
-                        if measurement["path"] != "auto" else "measured":
-                        measurement})
-        trajectory.append(entry)
+        trajectory.append(dict(_entry_meta(args, case_ids),
+                               label=args.record, measured=measurement))
         BENCH_JSON.write_text(json.dumps(trajectory, indent=2) + "\n")
         print(f"recorded -> {BENCH_JSON} (label {args.record!r})")
     return 0

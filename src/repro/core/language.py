@@ -23,13 +23,13 @@ implementation treats ``rdy`` as an alias of ``ack`` and normalizes it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 __all__ = [
     "AutoSVAError", "Direction", "SUFFIXES", "SUFFIX_ALIASES", "MACRO",
-    "RelationSpec", "AttributeDef", "AnnotationBlock", "split_field",
+    "RelationSpec", "AttributeDef", "split_field",
 ]
 
 MACRO = "AUTOSVA"
@@ -90,14 +90,6 @@ class AttributeDef:
     @property
     def is_scalar(self) -> bool:
         return self.width_text is None
-
-
-@dataclass
-class AnnotationBlock:
-    """All annotation content extracted from one RTL file."""
-
-    relations: List[RelationSpec] = field(default_factory=list)
-    attributes: List[AttributeDef] = field(default_factory=list)
 
 
 _RELATION_RE = re.compile(

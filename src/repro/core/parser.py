@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from .language import (AttributeDef, AutoSVAError, AnnotationBlock,
-                       RelationSpec, parse_attribute_line,
-                       parse_relation_line, split_field)
+from .language import (AttributeDef, AutoSVAError, RelationSpec,
+                       parse_attribute_line, parse_relation_line,
+                       split_field)
 from .rtl_scan import InterfaceScan
 
 __all__ = ["ParsedInterface", "parse_annotations"]

@@ -14,7 +14,7 @@ from typing import List
 
 from .sva import PropFile
 
-__all__ = ["ToolConfig", "render_sby", "render_jg_tcl", "native_config"]
+__all__ = ["ToolConfig", "render_sby", "render_jg_tcl"]
 
 
 @dataclass
@@ -82,13 +82,3 @@ set_prove_time_limit {config.timeout_s}s
 prove -all
 report
 """
-
-
-def native_config(config: ToolConfig = ToolConfig()) -> dict:
-    """Configuration for the built-in engine (see repro.formal.EngineConfig)."""
-    return {
-        "max_bound": config.depth,
-        "max_k": config.depth,
-        "simple_path": True,
-        "liveness_strategy": "l2s",
-    }

@@ -15,8 +15,8 @@ covers, liveness and fairness) and returns, per property, one of:
 The engine mirrors the paper's usage model: run everything, report a proof
 rate, and hand short CEX traces to the designer.
 
-**Batched hot path.**  Since the hot-path overhaul the default orchestration
-is *set-at-a-time*, the way production FV tools work on a property set:
+**Set-at-a-time orchestration.**  The engine checks a property set the way
+production FV tools do:
 
 * one :func:`~repro.formal.bmc.bmc_sweep` walks the depths once and decides
   every assert, cover and liveness lasso hunt on a shared unroller —
@@ -26,18 +26,14 @@ is *set-at-a-time*, the way production FV tools work on a property set:
   :class:`~repro.formal.engines.ProofContext`: k-induction base cases
   extend the sweep's frames and skip the depths the sweep already
   cleared.  (PDR runs deliberately get *fresh* solver state per property
-  — sharing was measured and rejected, see ``_proof_context``;
-  :class:`~repro.formal.pdr.PdrContext` remains an explicit opt-in.);
+  — sharing was measured and rejected, see ``_proof_context``.);
 * a proof backend that reports a counterexample *depth* beyond the sweep
   bound gets its trace regenerated by resuming BMC past the cleared bound
   (``start_depth``), never by re-hunting from zero.
 
-Verdicts and CEX/cover depths are identical to the per-property path (each
-BMC query is an exact decision); proof-artifact depths (PDR closing frame,
-induction k) may differ, as they legitimately depend on solver state.  The
-pre-overhaul orchestration is kept, bit-for-bit, behind
-``FormalEngine(batched=False)`` — the A/B half of
-``benchmarks/bench_formal_hotpath.py`` and the sweep-equivalence tests.
+Verdicts and CEX/cover depths are those of checking each property on its
+own (each BMC query is an exact decision); proof-artifact depths (PDR
+closing frame, induction k) legitimately depend on solver state.
 
 Since the ``repro.api`` redesign the engine is the *check* half only: proof
 backends are looked up in the :mod:`repro.formal.engines` registry (so
@@ -50,12 +46,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Collection, Dict, List, Optional
 
 from ..obs import METRICS, TRACER
-from .bmc import SweepTarget, bmc_cover, bmc_safety, bmc_sweep
+from .bmc import BmcResult, SweepTarget, bmc_cover, bmc_safety, bmc_sweep
 from .cnf import Unroller
-from .engines import (ProofContext, available_engines,
+from .engines import (EngineVerdict, ProofContext, available_engines,
                       available_liveness_strategies, get_engine,
                       get_liveness_strategy, prove_with)
 from .liveness import (SAVED_OBSERVABLE, compile_kliveness, compile_liveness,
@@ -209,45 +206,38 @@ class FormalEngine:
     design's property set across workers; :meth:`check_all` is the
     everything-at-once convenience wrapper.
 
-    ``batched=True`` (the default) runs the set-at-a-time hot path and
-    keeps its solver state — sweep unroller, PDR context, L2S compilation —
-    warm on the engine instance, so repeated :meth:`check_properties` calls
-    on one engine (the per-property task path) pay the encoding once.
-    ``batched=False`` reproduces the original property-at-a-time
-    orchestration with throwaway solvers.
+    The engine keeps its hunt state — sweep unrollers and the L2S
+    compilation — warm on the instance, so repeated
+    :meth:`check_properties` calls on one engine (the per-property task
+    path) pay the encoding once.
     """
 
     def __init__(self, system_factory: Callable[[], TransitionSystem],
-                 config: Optional[EngineConfig] = None,
-                 batched: bool = True) -> None:
+                 config: Optional[EngineConfig] = None) -> None:
         self._factory = system_factory
         self.config = config or EngineConfig()
-        self.batched = batched
-        # Warm state (batched mode), created lazily, keyed to this engine.
+        # Warm state, created lazily, keyed to this engine.
         self._probe: Optional[TransitionSystem] = None
         self._hunt: Optional[Unroller] = None
         self._live_system: Optional[TransitionSystem] = None
         self._live_compilation = None
         self._live_hunt: Optional[Unroller] = None
-        # Persistent solvers whose counters feed solver_stats; throwaway
-        # (legacy-mode) solvers fold their counters in and are released.
+        # Persistent solvers whose counters feed solver_stats.
         self._tracked_solvers: List = []
-        self._folded_stats: Dict[str, float] = {}
 
     # -- warm-state accessors ---------------------------------------------
     def _track(self, solver) -> None:
         """Register a *persistent* solver whose counters feed solver_stats."""
         self._tracked_solvers.append(solver)
 
-    def _fold_stats(self, solver) -> None:
-        """Absorb a throwaway solver's counters without keeping it alive."""
-        for key, value in solver.stats.as_dict().items():
-            self._folded_stats[key] = self._folded_stats.get(key, 0) + value
-
     @property
     def solver_stats(self) -> Dict[str, float]:
-        """Aggregated counters over every solver this engine ran."""
-        totals: Dict[str, float] = dict(self._folded_stats)
+        """Aggregated counters over the engine's warm hunt solvers.
+
+        Solvers a proof backend builds for itself (PDR, k-induction) are
+        not included.
+        """
+        totals: Dict[str, float] = {}
         for solver in self._tracked_solvers:
             for key, value in solver.stats.as_dict().items():
                 totals[key] = totals.get(key, 0) + value
@@ -277,7 +267,7 @@ class FormalEngine:
     def _proof_context(self) -> ProofContext:
         """Context for safety proofs on the probe system.
 
-        Deliberately carries no shared ``PdrContext``: corpus-wide A/B
+        Deliberately carries no shared PDR solver: corpus-wide A/B
         measurement showed PDR runs on a warm shared solver take ~30% more
         conflicts and ~2x the decisions (accumulated learned state steers
         later properties' searches off course), costing more than the
@@ -311,7 +301,7 @@ class FormalEngine:
         start = time.perf_counter()
         stats_before = self.solver_stats
         only = None if names is None else set(names)
-        probe = self._probe_system() if self.batched else self._factory()
+        probe = self._probe_system()
         if only is not None:
             known = {p.name for p in
                      probe.asserts + probe.covers + probe.liveness}
@@ -319,36 +309,28 @@ class FormalEngine:
             if missing:
                 raise KeyError(f"no property named {missing[0]!r}")
         report = CheckReport(design=probe.name)
-        if self.batched:
-            # One sweep decides every assert *and* cover hunt: the
-            # disjunction batching inside bmc_sweep then scales with the
-            # number of failing properties, not the number of properties.
-            safety_props = self._selected(probe.asserts, only)
-            cover_props = self._selected(probe.covers, only)
-            targets = ([SweepTarget(p.name, p.lit, "assert")
-                        for p in safety_props]
-                       + [SweepTarget(p.name, p.lit, "cover")
-                          for p in cover_props])
-            sweep: Dict[str, object] = {}
-            share = 0.0
-            if targets:
-                begin = time.perf_counter()
-                sweep = bmc_sweep(probe, targets, self.config.max_bound,
-                                  unroller=self._hunt_unroller())
-                share = (time.perf_counter() - begin) / len(targets)
-            report.results.extend(
-                self._check_safety(probe, safety_props, sweep, share))
-            report.results.extend(
-                self._check_covers(probe, cover_props, sweep, share))
-            if self._selected(probe.liveness, only):
-                report.results.extend(self._check_liveness(only))
-        else:
-            report.results.extend(self._legacy_check_safety(probe, only))
-            report.results.extend(self._legacy_check_covers(probe, only))
-            if self._selected(probe.liveness, only):
-                live_system = self._factory()
-                report.results.extend(
-                    self._legacy_check_liveness(live_system, only=only))
+        # One sweep decides every assert *and* cover hunt: the disjunction
+        # batching inside bmc_sweep then scales with the number of failing
+        # properties, not the number of properties.
+        safety_props = self._selected(probe.asserts, only)
+        cover_props = self._selected(probe.covers, only)
+        targets = ([SweepTarget(p.name, p.lit, "assert")
+                    for p in safety_props]
+                   + [SweepTarget(p.name, p.lit, "cover")
+                      for p in cover_props])
+        sweep: Dict[str, object] = {}
+        share = 0.0
+        if targets:
+            begin = time.perf_counter()
+            sweep = bmc_sweep(probe, targets, self.config.max_bound,
+                              unroller=self._hunt_unroller())
+            share = (time.perf_counter() - begin) / len(targets)
+        report.results.extend(
+            self._check_safety(probe, safety_props, sweep, share))
+        report.results.extend(
+            self._check_covers(probe, cover_props, sweep, share))
+        if self._selected(probe.liveness, only):
+            report.results.extend(self._check_liveness(only))
         report.total_time_s = time.perf_counter() - start
         stats_after = self.solver_stats
         delta = {key: value - stats_before.get(key, 0)
@@ -374,9 +356,7 @@ class FormalEngine:
     def _selected(props, only) -> List:
         return [p for p in props if only is None or p.name in only]
 
-    # ======================================================================
-    # Batched orchestration (the hot path)
-    # ======================================================================
+    # -- safety -----------------------------------------------------------
     def _check_safety(self, system: TransitionSystem, props,
                       sweep, share: float) -> List[PropertyResult]:
         if not props:
@@ -391,39 +371,52 @@ class FormalEngine:
                 result = PropertyResult(prop.name, "assert", CEX,
                                         depth=hunt.depth, trace=hunt.trace)
             else:
-                result = self._prove_safety(system, prop.lit, prop.name,
-                                            "assert", engine, unroller)
+                result = self._prove_safety(system, prop, engine, unroller)
             result.time_s = share + (time.perf_counter() - begin_p)
             results.append(result)
         return results
 
-    def _prove_safety(self, system: TransitionSystem, assert_lit: int,
-                      name: str, kind: str, engine,
+    def _prove_safety(self, system: TransitionSystem, prop, engine,
                       unroller: Unroller) -> PropertyResult:
         """Proof attempt for a property the sweep failed to falsify."""
-        verdict = prove_with(engine, system, assert_lit, self.config,
+        verdict = prove_with(engine, system, prop.lit, self.config,
                              self._proof_context())
+        return self._settle(verdict, prop.name, "assert",
+                            engine.unknown_depth(self.config),
+                            partial(bmc_safety, system, prop.lit,
+                                    property_name=prop.name,
+                                    unroller=unroller))
+
+    def _settle(self, verdict: EngineVerdict, name: str, kind: str,
+                unknown_depth: int, regenerate: Callable[..., BmcResult],
+                finish: Callable[[Trace], Trace] = lambda trace: trace
+                ) -> PropertyResult:
+        """Map a proof attempt's verdict onto the property's result.
+
+        A counterexample the backend reports without a trace (PDR learns
+        only the depth) is regenerated by ``regenerate(depth,
+        start_depth=...)``, a BMC run resuming past the bound the sweep
+        already cleared.  ``finish`` post-processes the reported trace.
+        Covers read a proof as unreachable and a violation as covered.
+        """
+        held, violated = ((UNREACHABLE, COVERED) if kind == "cover"
+                          else (PROVEN, CEX))
         if verdict.proven:
-            return PropertyResult(name, kind, PROVEN, depth=verdict.depth)
+            return PropertyResult(name, kind, held, depth=verdict.depth)
         if verdict.failed:
             if verdict.trace is not None:
                 # Backends see only the literal; restore the property name
                 # the trace renderer prints.
                 verdict.trace.property_name = name
-                return PropertyResult(name, kind, CEX,
+                return PropertyResult(name, kind, violated,
                                       depth=verdict.cex_depth,
-                                      trace=verdict.trace)
-            # The backend learned only the depth: regenerate the trace by
-            # resuming BMC past the bound the sweep already cleared.
-            deep = bmc_safety(system, assert_lit,
-                              max(verdict.cex_depth, self.config.max_bound),
-                              property_name=name, unroller=unroller,
+                                      trace=finish(verdict.trace))
+            deep = regenerate(max(verdict.cex_depth, self.config.max_bound),
                               start_depth=self.config.max_bound + 1)
             if deep.failed:
-                return PropertyResult(name, kind, CEX, depth=deep.depth,
-                                      trace=deep.trace)
-        return PropertyResult(name, kind, UNKNOWN,
-                              depth=engine.unknown_depth(self.config))
+                return PropertyResult(name, kind, violated, depth=deep.depth,
+                                      trace=finish(deep.trace))
+        return PropertyResult(name, kind, UNKNOWN, depth=unknown_depth)
 
     # -- covers -----------------------------------------------------------
     def _check_covers(self, system: TransitionSystem, props,
@@ -457,19 +450,10 @@ class FormalEngine:
         # the pre-registry behaviour for pdr and kind).
         proof = prove_with(get_engine("pdr"), system, prop.lit ^ 1,
                            self.config, self._proof_context())
-        if proof.proven:
-            return PropertyResult(prop.name, "cover", UNREACHABLE,
-                                  depth=proof.depth)
-        if proof.failed:
-            deep = bmc_cover(system, prop.lit,
-                             max(proof.cex_depth, self.config.max_bound),
-                             property_name=prop.name, unroller=unroller,
-                             start_depth=self.config.max_bound + 1)
-            if deep.failed:
-                return PropertyResult(prop.name, "cover", COVERED,
-                                      depth=deep.depth, trace=deep.trace)
-        return PropertyResult(prop.name, "cover", UNKNOWN,
-                              depth=self.config.max_bound)
+        return self._settle(proof, prop.name, "cover", self.config.max_bound,
+                            partial(bmc_cover, system, prop.lit,
+                                    property_name=prop.name,
+                                    unroller=unroller))
 
     # -- liveness ---------------------------------------------------------
     @staticmethod
@@ -545,170 +529,8 @@ class FormalEngine:
                                cleared_depth=self.config.max_bound)
         proof = prove_with(engine, system, bad_lit ^ 1, self.config,
                            context)
-        if proof.proven:
-            return PropertyResult(name, "live", PROVEN, depth=proof.depth)
-        if proof.failed:
-            if proof.trace is not None:
-                proof.trace.property_name = name
-                return PropertyResult(name, "live", CEX,
-                                      depth=proof.cex_depth,
-                                      trace=self._lasso_trace(proof.trace))
-            deep = bmc_cover(system, bad_lit,
-                             max(proof.cex_depth, self.config.max_bound),
-                             property_name=name, unroller=unroller,
-                             start_depth=self.config.max_bound + 1)
-            if deep.failed:
-                return PropertyResult(name, "live", CEX, depth=deep.depth,
-                                      trace=self._lasso_trace(deep.trace))
-        return PropertyResult(name, "live", UNKNOWN,
-                              depth=engine.unknown_depth(self.config))
-
-    # ======================================================================
-    # Legacy orchestration (property-at-a-time, throwaway solvers)
-    # ======================================================================
-    # Kept bit-for-bit for the hot-path benchmark's A/B comparison and the
-    # sweep-equivalence tests.  Remove once the batched path has carried a
-    # few releases.
-    def _legacy_check_safety(self, system: TransitionSystem,
-                             only: Optional[set] = None
-                             ) -> List[PropertyResult]:
-        results = []
-        shared = Unroller(system)
-        for prop in self._selected(system.asserts, only):
-            begin = time.perf_counter()
-            result = self._legacy_hunt_then_prove(system, prop.lit,
-                                                  prop.name, "assert",
-                                                  shared)
-            result.time_s = time.perf_counter() - begin
-            results.append(result)
-        self._fold_stats(shared.solver)
-        return results
-
-    def _legacy_hunt_then_prove(self, system: TransitionSystem,
-                                assert_lit: int, name: str, kind: str,
-                                shared: Unroller) -> PropertyResult:
-        """BMC bug hunt up to max_bound, then a full proof attempt."""
-        hunt = bmc_safety(system, assert_lit, self.config.max_bound,
-                          property_name=name, unroller=shared)
-        if hunt.failed:
-            return PropertyResult(name, kind, CEX, depth=hunt.depth,
-                                  trace=hunt.trace)
-        engine = get_engine(self.config.proof_engine)
-        verdict = engine.prove_invariant(system, assert_lit, self.config)
-        if verdict.proven:
-            return PropertyResult(name, kind, PROVEN, depth=verdict.depth)
-        if verdict.failed:
-            if verdict.trace is not None:
-                verdict.trace.property_name = name
-                return PropertyResult(name, kind, CEX,
-                                      depth=verdict.cex_depth,
-                                      trace=verdict.trace)
-            deep = bmc_safety(system, assert_lit,
-                              max(verdict.cex_depth, self.config.max_bound),
-                              property_name=name, unroller=shared)
-            if deep.failed:
-                return PropertyResult(name, kind, CEX, depth=deep.depth,
-                                      trace=deep.trace)
-        return PropertyResult(name, kind, UNKNOWN,
-                              depth=engine.unknown_depth(self.config))
-
-    def _legacy_check_covers(self, system: TransitionSystem,
-                             only: Optional[set] = None
-                             ) -> List[PropertyResult]:
-        results = []
-        shared = Unroller(system)
-        for prop in self._selected(system.covers, only):
-            results.append(self._legacy_check_one_cover(system, prop,
-                                                        shared))
-        self._fold_stats(shared.solver)
-        return results
-
-    def _legacy_check_one_cover(self, system: TransitionSystem, prop,
-                                shared: Unroller) -> PropertyResult:
-        begin = time.perf_counter()
-        outcome = bmc_cover(system, prop.lit, self.config.max_bound,
-                            property_name=prop.name, unroller=shared)
-        elapsed = time.perf_counter() - begin
-        if outcome.failed:  # "failed" = target reached = covered
-            return PropertyResult(prop.name, "cover", COVERED,
-                                  depth=outcome.depth, trace=outcome.trace,
-                                  time_s=elapsed)
-        if not get_engine(self.config.proof_engine).proves_covers:
-            return PropertyResult(prop.name, "cover", UNKNOWN,
-                                  depth=self.config.max_bound,
-                                  time_s=elapsed)
-        proof = get_engine("pdr").prove_invariant(system, prop.lit ^ 1,
-                                                  self.config)
-        elapsed = time.perf_counter() - begin
-        if proof.proven:
-            return PropertyResult(prop.name, "cover", UNREACHABLE,
-                                  depth=proof.depth, time_s=elapsed)
-        if proof.failed:
-            deep = bmc_cover(system, prop.lit,
-                             max(proof.cex_depth, self.config.max_bound),
-                             property_name=prop.name, unroller=shared)
-            if deep.failed:
-                return PropertyResult(prop.name, "cover", COVERED,
-                                      depth=deep.depth, trace=deep.trace,
-                                      time_s=time.perf_counter() - begin)
-        return PropertyResult(prop.name, "cover", UNKNOWN,
-                              depth=self.config.max_bound, time_s=elapsed)
-
-    def _legacy_check_liveness(self, system: TransitionSystem,
-                               only: Optional[set] = None
-                               ) -> List[PropertyResult]:
-        compilation = compile_liveness(system)
-        results = []
-        shared = Unroller(system)
-        for name, bad_lit in compilation.bad_lits.items():
-            if only is not None and name not in only:
-                continue
-            begin = time.perf_counter()
-            result = self._legacy_check_one_liveness(system, name, bad_lit,
-                                                     shared)
-            result.time_s = time.perf_counter() - begin
-            results.append(result)
-        self._fold_stats(shared.solver)
-        return results
-
-    def _legacy_check_one_liveness(self, system: TransitionSystem,
-                                   name: str, bad_lit: int,
-                                   shared: Unroller) -> PropertyResult:
-        hunt = bmc_cover(system, bad_lit, self.config.max_bound,
-                         property_name=name, unroller=shared)
-        if hunt.failed:  # lasso found: liveness CEX
-            return PropertyResult(name, "live", CEX, depth=hunt.depth,
-                                  trace=self._lasso_trace(hunt.trace))
-        strategy = get_liveness_strategy(self.config.liveness_strategy)
-        if not strategy.proves:
-            return PropertyResult(name, "live", UNKNOWN,
-                                  depth=self.config.max_bound)
-        engine = get_engine(self.config.proof_engine)
-        if engine.liveness_ladder:
-            for rounds in self.config.kliveness_rounds:
-                fresh = self._factory()
-                bad_k = compile_kliveness(fresh, name, rounds)
-                attempt = engine.prove_invariant(fresh, bad_k ^ 1,
-                                                 self.config)
-                if attempt.proven:
-                    return PropertyResult(name, "live", PROVEN,
-                                          depth=attempt.depth)
-                if not attempt.failed:
-                    break  # bound exhausted: a bigger k will not help
-        proof = engine.prove_invariant(system, bad_lit ^ 1, self.config)
-        if proof.proven:
-            return PropertyResult(name, "live", PROVEN, depth=proof.depth)
-        if proof.failed:
-            if proof.trace is not None:
-                proof.trace.property_name = name
-                return PropertyResult(name, "live", CEX,
-                                      depth=proof.cex_depth,
-                                      trace=self._lasso_trace(proof.trace))
-            deep = bmc_cover(system, bad_lit,
-                             max(proof.cex_depth, self.config.max_bound),
-                             property_name=name, unroller=shared)
-            if deep.failed:
-                return PropertyResult(name, "live", CEX, depth=deep.depth,
-                                      trace=self._lasso_trace(deep.trace))
-        return PropertyResult(name, "live", UNKNOWN,
-                              depth=engine.unknown_depth(self.config))
+        return self._settle(proof, name, "live",
+                            engine.unknown_depth(self.config),
+                            partial(bmc_cover, system, bad_lit,
+                                    property_name=name, unroller=unroller),
+                            finish=self._lasso_trace)

@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, TYPE_CHECKING
 
 from .cnf import Unroller
 from .kinduction import prove_safety
-from .pdr import PdrContext, pdr_prove
+from .pdr import pdr_prove
 from .trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -61,9 +61,7 @@ class ProofContext:
     same system — k-induction base cases extend its frames instead of
     re-encoding.  ``cleared_depth`` is the highest depth that sweep proved
     violation-free for the property being handed over (base cases up to it
-    need no re-solving).  ``pdr`` is the system's shared
-    :class:`~repro.formal.pdr.PdrContext` (transition encoding + learned
-    clauses amortized across every property's PDR run).
+    need no re-solving).
 
     Backends accept it as the optional ``context`` keyword; engines that
     ignore it (or third-party engines written before it existed) keep
@@ -73,7 +71,6 @@ class ProofContext:
 
     hunt_unroller: Optional[Unroller] = None
     cleared_depth: int = -1
-    pdr: Optional[PdrContext] = None
 
 
 def prove_with(engine: "Engine", system: "TransitionSystem", good_lit: int,
@@ -157,11 +154,8 @@ class PdrEngine(Engine):
     name = "pdr"
     liveness_ladder = True
 
-    def prove_invariant(self, system, good_lit, config,
-                        context=None) -> EngineVerdict:
-        pdr_context = context.pdr if context is not None else None
-        outcome = pdr_prove(system, good_lit, max_frames=config.max_frames,
-                            context=pdr_context)
+    def prove_invariant(self, system, good_lit, config) -> EngineVerdict:
+        outcome = pdr_prove(system, good_lit, max_frames=config.max_frames)
         if outcome.proven:
             return EngineVerdict("proven", depth=outcome.frames)
         if outcome.failed:

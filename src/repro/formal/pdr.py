@@ -20,14 +20,12 @@ Invariant-style assumptions (``constraints``) are enforced at both sides of
 the transition; the caller is expected to have bug-hunted with BMC first (the
 0/1-step base cases), as :class:`repro.formal.engine.FormalEngine` does.
 
-**Context sharing** (:class:`PdrContext`): every clause PDR adds to its
-solver is guarded by an activation literal, so one two-frame unrolling of
-the transition relation can serve PDR runs for *every* property of a
-system — each run retires its guards on exit, and the (expensive, lazily
-cone-sliced) transition encoding plus all learned clauses stay warm for the
-next property.  :class:`~repro.formal.engine.FormalEngine` keeps one context
-per checked system; :func:`pdr_prove` without a context builds a throwaway
-one, preserving the old single-shot behaviour.
+**One solver per run.**  Each :class:`Pdr` run owns its two-frame
+unrolling of the transition relation and its solver.  Sharing one warm
+unrolling across the properties of a system was measured and rejected
+(see ``FormalEngine._proof_context``): the learned state a run leaves
+behind steers later runs' searches off course and costs more than the
+re-encoding it saves.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ from .coi import coi_latches
 from .sat import Solver
 from .transition import Latch, TransitionSystem
 
-__all__ = ["PdrResult", "Pdr", "PdrContext", "pdr_prove"]
+__all__ = ["PdrResult", "Pdr", "pdr_prove"]
 
 
 @dataclass
@@ -61,93 +59,49 @@ class PdrResult:
 class _Clause:
     """A blocked-cube clause with its frame level."""
 
-    __slots__ = ("lits", "level", "retired", "tried_mods")
+    __slots__ = ("lits", "level", "tried_mods")
 
     def __init__(self, lits: Tuple[int, ...], level: int) -> None:
         self.lits = lits        # clause literals over frame-0 latch SAT vars
         self.level = level
-        self.retired = False
         # Frame-modification snapshot at the last *failed* push attempt:
         # the push query's answer only changes when some clause lands at a
         # level >= this clause's, so unchanged snapshots skip the re-solve.
         self.tried_mods = -1
 
 
-class PdrContext:
-    """Shared two-frame unrolling reusable across PDR runs on one system.
-
-    Holds the symbolic-init :class:`Unroller` (frame 0 = current state,
-    frame 1 = successor; invariant constraints asserted in both by the
-    unroller itself) and memoizes per-latch SAT literals.  All clauses a
-    :class:`Pdr` run adds are activation-guarded; :meth:`retire` permanently
-    disables a batch of guards when the run finishes, so the next run
-    starts from a clean frame state but a warm solver.
-    """
-
-    def __init__(self, system: TransitionSystem) -> None:
-        self.system = system
-        # Eager latch encoding: the unrolling is two frames deep, so the
-        # slicing win is small, and keeping the historical variable
-        # numbering keeps PDR's (trajectory-sensitive) search behaviour.
-        self.unroller = Unroller(system, symbolic_init=True,
-                                 eager_latches=True)
-        self.solver: Solver = self.unroller.solver
-        self.unroller.frame(1)
-        self._cur: Dict[int, int] = {}   # latch node -> frame-0 SAT literal
-        self._nxt: Dict[int, int] = {}   # latch node -> frame-1 SAT literal
-        self.runs = 0
-
-    def cur_lit(self, node: int) -> int:
-        sat = self._cur.get(node)
-        if sat is None:
-            sat = self.unroller.sat_literal(node, 0)
-            self._cur[node] = sat
-        return sat
-
-    def nxt_lit(self, node: int) -> int:
-        sat = self._nxt.get(node)
-        if sat is None:
-            sat = self.unroller.sat_literal(node, 1)
-            self._nxt[node] = sat
-        return sat
-
-    def retire(self, acts: Sequence[int]) -> None:
-        """Permanently disable a run's activation guards."""
-        for act in acts:
-            self.solver.add_clause([-act])
-
-
 class Pdr:
     """One PDR run for a single bad literal on a transition system."""
 
     def __init__(self, system: TransitionSystem, bad_lit: int,
-                 max_frames: int = 60,
-                 context: Optional[PdrContext] = None) -> None:
+                 max_frames: int = 60) -> None:
         self.system = system
         self.bad_lit = bad_lit
         self.max_frames = max_frames
-        self.context = context or PdrContext(system)
-        if self.context.system is not system:
-            raise ValueError("PdrContext belongs to a different system")
-        self.context.runs += 1
-        self.unroller = self.context.unroller
-        self.solver: Solver = self.context.solver
+        # Symbolic-init two-frame unrolling: frame 0 = current state,
+        # frame 1 = successor, invariant constraints asserted in both by
+        # the unroller itself.  Eager latch encoding: the unrolling is two
+        # frames deep, so the slicing win is small, and keeping the
+        # historical variable numbering keeps PDR's (trajectory-sensitive)
+        # search behaviour.
+        self.unroller = Unroller(system, symbolic_init=True,
+                                 eager_latches=True)
+        self.solver: Solver = self.unroller.solver
+        self.unroller.frame(1)
         self._bad_sat = self.unroller.sat_literal(bad_lit, 0)
         # Latch variable maps, restricted to the property's cone of
         # influence (constraint support included — exact reduction).
         self._latches: List[Latch] = coi_latches(system, [bad_lit])
         self._cur: Dict[int, int] = {
-            latch.node: self.context.cur_lit(latch.node)
+            latch.node: self.unroller.sat_literal(latch.node, 0)
             for latch in self._latches}
         self._nxt: Dict[int, int] = {
-            latch.node: self.context.nxt_lit(latch.node)
+            latch.node: self.unroller.sat_literal(latch.node, 1)
             for latch in self._latches}
         self._init_value: Dict[int, Optional[bool]] = {
             latch.node: latch.init for latch in self._latches}
         self._var_to_node: Dict[int, int] = {
             abs(sat): node for node, sat in self._cur.items()}
-        # Every clause this run adds is guarded; the guards retire on exit.
-        self._acts: List[int] = []
         # F_0 is the init predicate, guarded by one activation literal.
         self._init_act = self._new_act()
         for latch in self._latches:
@@ -181,9 +135,7 @@ class Pdr:
             (node, sat) for node, sat in frame0.input_sat.items()]
 
     def _new_act(self) -> int:
-        act = self.solver.new_var()
-        self._acts.append(act)
-        return act
+        return self.solver.new_var()
 
     # -- ternary-simulation lifting ------------------------------------------
     # Predecessor cubes from the SAT model assign *every* COI latch; most of
@@ -333,16 +285,7 @@ class Pdr:
     # -- main loop -----------------------------------------------------------
     def run(self) -> PdrResult:
         if self.bad_lit == FALSE:
-            self.context.retire(self._acts)
             return PdrResult(proven=True, frames=0)
-        try:
-            return self._run()
-        finally:
-            # Whatever the outcome, this run's guarded clauses must never
-            # constrain the next run on the shared context.
-            self.context.retire(self._acts)
-
-    def _run(self) -> PdrResult:
         while True:
             # Find a bad state inside the outermost frame.
             assumptions = self._frame_assumptions(self._num_frames)
@@ -527,7 +470,7 @@ class Pdr:
         for l in range(len(mods) - 1, -1, -1):
             suffix[l] = suffix[l + 1] + mods[l]
         for clause in self._clauses:
-            if clause.retired or clause.level >= self._num_frames:
+            if clause.level >= self._num_frames:
                 continue
             snapshot = suffix[min(clause.level, len(suffix) - 1)]
             if clause.tried_mods == snapshot:
@@ -555,21 +498,17 @@ class Pdr:
             else:
                 clause.tried_mods = snapshot
         # Fixpoint: some frame 1..N-1 has no clause at exactly its level.
-        active = [c for c in self._clauses if not c.retired]
         for level in range(1, self._num_frames):
-            if not any(c.level == level for c in active):
+            if not any(c.level == level for c in self._clauses):
                 return True
         return False
 
 
 def pdr_prove(system: TransitionSystem, assert_lit: int,
-              max_frames: int = 60,
-              context: Optional[PdrContext] = None) -> PdrResult:
+              max_frames: int = 60) -> PdrResult:
     """Prove ``assert_lit`` invariant (or find it violable) with PDR.
 
     ``assert_lit`` is the property literal (must always hold); PDR works on
-    its negation as the bad state.  ``context`` (see :class:`PdrContext`)
-    shares the transition encoding and solver across runs on one system.
+    its negation as the bad state.
     """
-    return Pdr(system, bad_lit=assert_lit ^ 1, max_frames=max_frames,
-               context=context).run()
+    return Pdr(system, bad_lit=assert_lit ^ 1, max_frames=max_frames).run()
