@@ -2,7 +2,10 @@
 
 Layers, bottom to top:
 
-* :mod:`repro.formal.sat` — CDCL SAT solver.
+* :mod:`repro.formal.sat` — CDCL SAT solver: ``Solver`` runs on the
+  native core (``_satcore.c``, built on first use by
+  :mod:`repro.formal._satbuild`) or, without a C compiler, on the
+  pure-Python ``PySolver`` reference; both search identically.
 * :mod:`repro.formal.aig` — and-inverter graph for bit-level logic.
 * :mod:`repro.formal.transition` — sequential circuit + proof obligations.
 * :mod:`repro.formal.cnf` — Tseitin encoding / time-frame unrolling.

@@ -251,7 +251,7 @@ class FormalEngine:
         (:meth:`~repro.api.compile.CompiledDesign.engine_for`) use this to
         decide when to retire a warm engine instead of reusing it.
         """
-        return sum(len(solver._arena) for solver in self._tracked_solvers)
+        return sum(solver.arena_ints for solver in self._tracked_solvers)
 
     def _probe_system(self) -> TransitionSystem:
         if self._probe is None:

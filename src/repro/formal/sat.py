@@ -1,12 +1,25 @@
-"""A CDCL SAT solver in pure Python.
+"""The CDCL SAT solver behind the :mod:`repro.formal` model checker.
 
-This is the solver backing the :mod:`repro.formal` model checker.  The paper's
-AutoSVA flow hands the generated formal testbench to JasperGold or SymbiYosys;
-both are SAT-based model checkers at their core.  Since neither is available in
-this environment, we implement the solver layer from scratch: a
-conflict-driven clause-learning (CDCL) solver with two-watched-literal
-propagation, VSIDS-style activity ordering, phase saving, Luby restarts,
-first-UIP clause learning and LBD-scored learned-clause reduction.
+The paper's AutoSVA flow hands the generated formal testbench to JasperGold
+or SymbiYosys; both are SAT-based model checkers at their core.  Since
+neither is available in this environment, we implement the solver layer
+from scratch: a conflict-driven clause-learning (CDCL) solver with
+two-watched-literal propagation, VSIDS-style activity ordering, phase
+saving, Luby restarts, first-UIP clause learning and LBD-scored
+learned-clause reduction.
+
+The search exists twice, with identical heuristics and tie-breaks:
+
+* :class:`PySolver` — the pure-Python reference implementation below;
+* ``_satcore.c`` — a line-for-line C port, compiled on first use
+  (:mod:`repro.formal._satbuild`).
+
+:class:`Solver` is the one class every engine constructs.  It runs on the
+native core when that builds and loads (a C compiler and the Python
+headers are present), else on :class:`PySolver` after logging one warning;
+:func:`backend` says which.  Both cores give the same answers, models,
+cores and deterministic counters for the same call sequence, so verdicts,
+traces and the benchmark counters do not depend on the core.
 
 The clause database is a flat **int arena** rather than a list of Python
 lists: every clause lives at an offset in one large ``list`` of ints
@@ -15,7 +28,7 @@ of an implied variable is an offset.  In CPython this matters a great deal —
 the propagate inner loop indexes two flat lists instead of chasing object
 references and bound-method lookups, which is where a pure-Python CDCL
 spends most of its time on unrolled circuits (measured ~65% of the whole
-model checker before this layout).
+model checker before this layout).  The C core keeps the same layout.
 
 The API is deliberately small and incremental-friendly:
 
@@ -39,10 +52,14 @@ BMC sweep decide many properties on one solver.
 
 from __future__ import annotations
 
+import logging
 import time
-from typing import Iterable, List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional, Sequence
 
-__all__ = ["Solver", "SolverStats", "luby"]
+__all__ = ["PySolver", "Solver", "SolverStats", "backend", "luby",
+           "native_core"]
+
+log = logging.getLogger(__name__)
 
 # Truth constants used in the internal assignment array.
 _UNASSIGNED = 0
@@ -195,8 +212,8 @@ class _VarHeap:
         pos[var - 1] = idx
 
 
-class Solver:
-    """Incremental CDCL SAT solver over a flat clause arena.
+class PySolver:
+    """Incremental CDCL SAT solver over a flat clause arena (pure Python).
 
     Variables are created with :meth:`new_var` and clauses added with
     :meth:`add_clause`.  :meth:`solve` may be called repeatedly with
@@ -273,6 +290,11 @@ class Solver:
     @property
     def num_learned(self) -> int:
         return len(self._learned)
+
+    @property
+    def arena_ints(self) -> int:
+        """Length of the clause arena in ints (dead slots included)."""
+        return len(self._arena)
 
     def _alloc(self, lits: Sequence[int], lbd: int) -> int:
         """Append a clause to the arena; returns its offset."""
@@ -796,3 +818,94 @@ class Solver:
             elif self._assign[var] == _FALSE:
                 out.append(-var)
         return out
+
+
+# ----------------------------------------------------------------------
+# Core selection
+# ----------------------------------------------------------------------
+_native: Optional[Callable[[], object]] = None
+_native_error: Optional[str] = None
+#: Constructor of the core every Solver runs on; set on the first Solver().
+_new_core: Optional[Callable[[], object]] = None
+
+
+def native_core() -> Optional[Callable[[], object]]:
+    """Constructor of the C core (each call: a new solver with its own
+    :class:`SolverStats`), or None when it cannot be built or loaded."""
+    global _native, _native_error
+    if _native is None and _native_error is None:
+        try:
+            from . import _satbuild
+            module = _satbuild.load()
+        except Exception as exc:  # no compiler, no headers, read-only tree
+            _native_error = f"{type(exc).__name__}: {exc}"
+        else:
+            _native = lambda: module.Solver(SolverStats())  # noqa: E731
+    return _native
+
+
+def _core_factory() -> Callable[[], object]:
+    global _new_core
+    if _new_core is None:
+        _new_core = native_core()
+        if _new_core is None:
+            log.warning("native SAT core unavailable (%s); using the "
+                        "pure-Python solver", _native_error)
+            _new_core = PySolver
+    return _new_core
+
+
+def backend() -> str:
+    """``"native"`` or ``"python"``: the core :class:`Solver` runs on."""
+    return "python" if _core_factory() is PySolver else "native"
+
+
+class Solver:
+    """The incremental CDCL solver every engine constructs.
+
+    A thin front over the core picked on first use (see :func:`backend`):
+    ``new_var``, ``add_clause``, ``value`` and ``model`` are the core's
+    own bound methods, so hot calls pay no extra Python frame; ``solve``
+    stays a method of this class so that wrappers installed on
+    ``Solver.solve`` see every query.  :attr:`stats` is the core's live
+    :class:`SolverStats`, current whenever ``solve`` or ``add_clause``
+    returns.
+    """
+
+    __slots__ = ("_impl", "stats", "new_var", "add_clause", "value", "model")
+
+    def __init__(self) -> None:
+        impl = _core_factory()()
+        self._impl = impl
+        self.stats: SolverStats = impl.stats
+        self.new_var = impl.new_var
+        self.add_clause = impl.add_clause
+        self.value = impl.value
+        self.model = impl.model
+
+    def solve(self, assumptions: Sequence[int] = ()) -> bool:
+        """Decide satisfiability under the given assumption literals; see
+        :meth:`PySolver.solve`."""
+        return self._impl.solve(assumptions)
+
+    @property
+    def core(self) -> List[int]:
+        """Assumption core of the last UNSAT :meth:`solve` (else empty)."""
+        return self._impl.core
+
+    @property
+    def num_vars(self) -> int:
+        return self._impl.num_vars
+
+    @property
+    def num_clauses(self) -> int:
+        return self._impl.num_clauses
+
+    @property
+    def num_learned(self) -> int:
+        return self._impl.num_learned
+
+    @property
+    def arena_ints(self) -> int:
+        """Length of the clause arena in ints (dead slots included)."""
+        return self._impl.arena_ints

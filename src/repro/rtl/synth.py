@@ -452,7 +452,7 @@ class Synthesizer:
         # Main branch: next-state functions (default: hold).
         env: Dict[str, object] = {}
         self._exec_stmt(scope, main_stmt, env, targets, is_ff=True)
-        for name in targets:
+        for name in sorted(targets):
             signal = self._lookup(scope, name, block.line)
             value = env.get(name)
             if signal.is_array:
@@ -657,7 +657,9 @@ class Synthesizer:
     def _merge_env(self, scope: Scope, env: Dict[str, object], cond: int,
                    then_env: Dict[str, object], else_env: Dict[str, object],
                    targets: Set[str], is_ff: bool) -> None:
-        for name in targets:
+        # Sorted, not set order: mux creation order must not follow
+        # PYTHONHASHSEED, or the AIG (and every solver counter) would.
+        for name in sorted(targets):
             in_then = name in then_env
             in_else = name in else_env
             if not in_then and not in_else:
