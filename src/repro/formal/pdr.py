@@ -128,11 +128,13 @@ class Pdr:
         #  makes the arithmetic below uniform.)
         # Per-level frame-modification counters backing _Clause.tried_mods.
         self._level_mods: List[int] = [0]
-        # Concrete model nodes ternary lifting reads: COI inputs and
-        # latches with their frame-0 SAT literals, precomputed once.
+        # Concrete model nodes ternary lifting reads (COI inputs and
+        # latches) with their frame-0 SAT literals, snapshotted once, and
+        # the per-node cones lifting has needed so far (the AIG is fixed
+        # for the run).
         frame0 = self.unroller.frame(0)
-        self._model_nodes: List[Tuple[int, int]] = [
-            (node, sat) for node, sat in frame0.input_sat.items()]
+        self._model_sat: Dict[int, int] = dict(frame0.input_sat)
+        self._cones: Dict[int, List[int]] = {}
 
     def _new_act(self) -> int:
         return self.solver.new_var()
@@ -144,96 +146,109 @@ class Pdr:
     # when three-valued simulation shows the required outputs stay determined
     # with that latch set to X.  This shrinks proof obligations by orders of
     # magnitude on control logic.
+    #
+    # The simulation is incremental.  One concrete pass evaluates the union
+    # cone of the required literals (leaves: model values; a leaf that is
+    # neither a model node nor an AND node reads X).  Each cube literal in
+    # turn then sets its latch to X and pushes X only through that latch's
+    # fanout inside the cone; when a required node is reached, the recorded
+    # changes are undone and the literal is kept.  Three-valued AND is
+    # monotone — more X inputs can only turn a 0/1 node into X — so a node
+    # changes at most once per trial, and the result is exactly the full
+    # re-evaluation with every dropped latch and the trial latch at X.  A
+    # lift costs O(cone + fanout touched) instead of O(cube x cone).
     _X = 2
 
-    def _ternary_eval(self, lit: int, values: Dict[int, int]) -> int:
-        """Three-valued evaluation of an AIG literal; 0, 1 or X(2).
-
-        ``values`` maps input/latch nodes to 0/1/X and doubles as the memo
-        table for internal nodes.  Hot path of cube lifting — the AND-node
-        table is read directly and fanin values are computed inline.
-        """
-        and_of = self.system.aig._and_of
-        X = self._X
-        stack = [lit & ~1]
-        while stack:
-            node = stack[-1]
-            if node == FALSE or node in values:
-                stack.pop()
-                continue
-            pair = and_of.get(node)
-            if pair is None:
-                values[node] = X  # unconstrained node
-                stack.pop()
-                continue
-            lhs, rhs = pair
-            lnode = lhs & ~1
-            rnode = rhs & ~1
-            ready = True
-            if lnode != FALSE and lnode not in values:
-                stack.append(lnode)
-                ready = False
-            if rnode != FALSE and rnode not in values:
-                stack.append(rnode)
-                ready = False
-            if not ready:
-                continue
-            if lnode == FALSE:
-                a = lhs & 1
-            else:
-                v = values[lnode]
-                a = X if v == X else v ^ (lhs & 1)
-            if a == 0:
-                values[node] = 0
-                stack.pop()
-                continue
-            if rnode == FALSE:
-                b = rhs & 1
-            else:
-                v = values[rnode]
-                b = X if v == X else v ^ (rhs & 1)
-            if b == 0:
-                values[node] = 0
-            elif a == X or b == X:
-                values[node] = X
-            else:
-                values[node] = 1
-            stack.pop()
-        base = values.get(lit & ~1, 0) if (lit & ~1) != FALSE else 0
-        if base == X:
-            return X
-        return base ^ (lit & 1)
+    def _cone(self, node: int) -> List[int]:
+        """AND nodes of ``node``'s cone in topological order (node ids are
+        allocated after their fanins', so ascending order is topological)."""
+        cone = self._cones.get(node)
+        if cone is None:
+            and_of = self.system.aig._and_of
+            seen = set()
+            stack = [node]
+            while stack:
+                cur = stack.pop()
+                if cur in seen or cur not in and_of:
+                    continue
+                seen.add(cur)
+                lhs, rhs = and_of[cur]
+                stack.append(lhs & ~1)
+                stack.append(rhs & ~1)
+            cone = self._cones[node] = sorted(seen)
+        return cone
 
     def _lift_cube(self, cube: Tuple[int, ...],
                    required: List[Tuple[int, bool]]) -> Tuple[int, ...]:
         """Drop cube literals while all required (lit, value) stay determined."""
         if not required:
             return cube
-        # Concrete model values for the frame-0 nodes the unrolling
-        # encoded (cone-sliced: exactly the nodes lifting can ever read).
+        and_of = self.system.aig._and_of
+        model_sat = self._model_sat
         value = self.solver.value
-        base_values: Dict[int, int] = {}
-        for node, sat in self._model_nodes:
-            base_values[node] = 1 if value(sat) else 0
+        X = self._X
+        values: Dict[int, int] = {FALSE: 0}
+        fanout: Dict[int, List[int]] = {}
+
+        def read(leaf: int) -> int:
+            sat = model_sat.get(leaf)
+            return X if sat is None else (1 if value(sat) else 0)
+
+        def ternary_and(node: int) -> int:
+            lhs, rhs = and_of[node]
+            a = values[lhs & ~1]
+            b = values[rhs & ~1]
+            a = X if a == X else a ^ (lhs & 1)
+            b = X if b == X else b ^ (rhs & 1)
+            if a == 0 or b == 0:
+                return 0
+            return X if a == X or b == X else 1
+
+        # Concrete pass over the union cone, recording in-cone fanout.
+        roots = {lit & ~1 for lit, _ in required} - {FALSE}
+        for root in roots:
+            if root not in values and root not in and_of:
+                values[root] = read(root)
+            for node in self._cone(root):
+                if node in values:
+                    continue
+                for fanin in and_of[node]:
+                    fanin &= ~1
+                    if fanin not in values:
+                        values[fanin] = read(fanin)
+                    if fanin != FALSE:
+                        fanout.setdefault(fanin, []).append(node)
+                values[node] = ternary_and(node)
+        # A requirement that fails even concretely fails every trial, so
+        # every literal is kept: skip the trials (``kept`` stays empty and
+        # the fallback below returns the whole cube).
+        holds = all(values[lit & ~1] != X
+                    and bool(values[lit & ~1] ^ (lit & 1)) == want
+                    for lit, want in required)
         kept: List[int] = []
-        dropped: set = set()
-        for idx, lit in enumerate(cube):
+        for lit in cube if holds else ():
             node = self._var_to_node[abs(lit)]
-            trial = dict(base_values)
-            trial[node] = self._X
-            for other in dropped:
-                trial[other] = self._X
-            ok = True
-            for req_lit, req_val in required:
-                result = self._ternary_eval(req_lit, trial)
-                if result == self._X or bool(result) != req_val:
-                    ok = False
+            if values.get(node, X) == X:
+                continue  # outside the cone (or already X): no effect
+            changed = [(node, values[node])]
+            values[node] = X
+            stack = [node]
+            while stack:
+                cur = stack.pop()
+                if cur in roots:  # a required literal went X: keep lit
+                    for changed_node, old in changed:
+                        values[changed_node] = old
+                    kept.append(lit)
                     break
-            if ok:
-                dropped.add(node)
-            else:
-                kept.append(lit)
-        return tuple(kept) if kept else cube
+                for out in fanout.get(cur, ()):
+                    if values[out] != X and ternary_and(out) == X:
+                        changed.append((out, values[out]))
+                        values[out] = X
+                        stack.append(out)
+        lifted = tuple(kept) if kept else cube
+        METRICS.counter("pdr.lift_literals").inc(len(cube))
+        METRICS.counter("pdr.lift_dropped").inc(len(cube) - len(lifted))
+        return lifted
 
     def _constraint_requirements(self) -> List[Tuple[int, bool]]:
         return [(prop.lit, True) for prop in self.system.constraints]
