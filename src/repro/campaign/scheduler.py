@@ -20,10 +20,11 @@ Design points:
   verdict-relevant — source pulling, cache replay, steal bookkeeping,
   event ordering — so transports can only change *where* cycles burn,
   never what the campaign concludes.
-* **Event-driven waiting** — the pool blocks in
-  :func:`multiprocessing.connection.wait` on the worker pipes instead of
-  polling each one on a fixed interval.  The wait timeout is bounded by
-  the nearest per-job deadline, so wall-clock limits fire within
+* **Event-driven waiting** — the run loop has ONE wait: the transport
+  blocks in :func:`multiprocessing.connection.wait` on its worker pipes
+  (or sockets) *and* the scheduler's wake channel, instead of polling
+  each one on a fixed interval.  The wait timeout is bounded by the
+  nearest per-job deadline, so wall-clock limits fire within
   :data:`_DEADLINE_SLACK_S` of expiry instead of a poll period later.
 * **Work stealing** — when the source is exhausted and more worker slots
   are free than jobs are queued, the scheduler asks ``split`` to re-split
@@ -68,8 +69,9 @@ campaign service's broker) may yield ``None`` to say "temporarily dry —
 nothing admissible right now, but do not treat me as exhausted".  The
 scheduler then stops pulling for the current round and re-probes the
 source on the next one; only :class:`StopIteration` ends the run.  A
-blocking source should bound its own internal wait (~0.1s) so the idle
-loop stays responsive without busy-spinning.  :meth:`Scheduler.cancel_where`
+dry source returns ``None`` at once; :meth:`Scheduler.wake` is how
+another thread makes the loop re-probe (the loop's one wait returns on
+it, whatever the transport is waiting for).  :meth:`Scheduler.cancel_where`
 is the matching retraction hook: it cancels queued (and
 transport-returned) jobs without touching verdicts of work already
 running.
@@ -330,34 +332,47 @@ def reap_child(conn, process, deadline: Optional[float], now: float,
     return None
 
 
+def wait_or_wake(waitables: list, wake, timeout: Optional[float]) -> list:
+    """The run loop's one wait: until a worker pipe/socket or ``wake``
+    (the read end :meth:`Scheduler.wake` writes to; None when unbound)
+    is ready, or ``timeout`` passes.  A fired wake channel is drained."""
+    if wake is not None:
+        waitables = waitables + [wake]
+    ready = mp_connection.wait(waitables, timeout=timeout)
+    if wake in ready:
+        wake.recv(4096)
+    return ready
+
+
 class LocalTransport:
     """The default execution backend: forked processes on this host.
 
     This is the transport contract every backend implements (duck-typed;
     :class:`~repro.dist.coordinator.TcpTransport` is the remote peer):
 
-    * :meth:`bind` — receive the scheduler's runner and per-job bounds;
+    * :meth:`bind` — receive the scheduler's runner, per-job bounds and
+      the read end of its wake channel;
     * :meth:`free_slots` / :meth:`in_flight` — capacity accounting;
     * :meth:`dispatch` — start one job, honoring a worker-exclusion set
       (returns False when no acceptable slot exists right now);
-    * :meth:`step` — block (bounded) until something happens; return
+    * :meth:`step` — block (bounded) in :func:`wait_or_wake` until a
+      worker or the wake channel has something; return
       ``(finished, requeued)`` where ``finished`` is
       ``[(index, job, JobResult), ...]`` and ``requeued`` is
       ``[(index, job, dead_worker_id_or_None), ...]`` — jobs the
       transport gives back (worker death, steal grants);
     * :meth:`reclaim` — tail hook: pull back not-yet-started work from
       busy workers, if the transport holds any (no-op here: local
-      dispatch is start);
-    * ``wait_when_idle`` — True when :meth:`step` is meaningful with
-      nothing in flight (a remote pool waits for workers to join; a
-      local fork pool never needs to).
+      dispatch is start).
+
+    The run loop steps whenever it has nothing else to do, in flight or
+    not (a remote pool waits for agents; a dry source, for a wakeup).
 
     Locally a "worker" is one forked child per job, so exclusion sets
     and requeues never trigger: a child death is a per-job ``error``
     (failure isolation), not a lost worker.
     """
 
-    wait_when_idle = False
     #: Workers share this process's memory via fork, so parent-side
     #: precompiles reach them.  Remote transports set True — their
     #: agents hold their own compile caches and a parent-side compile
@@ -374,13 +389,15 @@ class LocalTransport:
         self._host = socket.gethostname()
         self._running: List[_Running] = []
         self._context = fork_context()
+        self._wake = None
 
     def bind(self, runner: Callable, timeout_s: Optional[float],
              memory_limit_mb: Optional[int],
-             cost_of: Optional[Callable] = None) -> None:
+             cost_of: Optional[Callable] = None, wake=None) -> None:
         self.runner = runner
         self.timeout_s = timeout_s
         self.memory_limit_mb = memory_limit_mb
+        self._wake = wake
 
     # -- capacity ---------------------------------------------------------
     def capacity(self) -> int:
@@ -433,8 +450,8 @@ class LocalTransport:
     def step(self) -> Tuple[List[Tuple[int, object, JobResult]],
                             List[Tuple[int, object, Optional[str]]]]:
         """Collect every finished/expired worker (may be empty)."""
-        mp_connection.wait([slot.conn for slot in self._running],
-                           timeout=self._wait_timeout())
+        wait_or_wake([slot.conn for slot in self._running], self._wake,
+                     self._wait_timeout())
         finished: List[Tuple[int, object, JobResult]] = []
         still: List[_Running] = []
         now = time.monotonic()
@@ -553,7 +570,12 @@ class Scheduler:
 
         self._transport = transport if transport is not None \
             else LocalTransport(workers)
-        self._transport.bind(runner, timeout_s, memory_limit_mb, cost_of)
+        #: The wake channel: :meth:`wake` writes a byte, the transport's
+        #: ``step`` waits on the read end next to its workers.
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_w.setblocking(False)
+        self._transport.bind(runner, timeout_s, memory_limit_mb, cost_of,
+                             self._wake_r)
 
         self._queue: deque = deque()      # (index, job)
         self._emit: deque = deque()       # buffered out-of-band events
@@ -575,6 +597,16 @@ class Scheduler:
     @property
     def transport(self):
         return self._transport
+
+    def wake(self) -> None:
+        """Cut the run loop's current wait short so it re-probes the
+        source (thread-safe: the one call made from other threads)."""
+        try:
+            self._wake_w.send(b"\0")
+        except OSError:
+            # BlockingIOError: the buffer is full, so a wakeup is already
+            # pending; any other error: the run ended and closed it.
+            pass
 
     def _capacity(self) -> int:
         capacity = getattr(self._transport, "capacity", None)
@@ -928,13 +960,10 @@ class Scheduler:
                     event = self._emit.popleft()
                     yield event
                     self._fill()
-                if not self._transport.in_flight():
-                    if not self._queue and self._exhausted:
-                        if self._emit:
-                            continue
-                        break
-                    if not self._transport.wait_when_idle:
-                        continue
+                if not self._transport.in_flight() and not self._queue \
+                        and self._exhausted:
+                    break
+                # Nothing else to do: wait for a worker, a join or a wake.
                 finished, requeued = self._transport.step()
                 for index, job, worker_id in requeued:
                     self._requeue(index, job, worker_id)
@@ -949,6 +978,8 @@ class Scheduler:
                         self._fill()
         finally:
             self._transport.close()
+            self._wake_r.close()
+            self._wake_w.close()
 
 
 def iter_campaign(jobs: Sequence[CampaignJob],

@@ -57,11 +57,10 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass, field
-from multiprocessing import connection as mp_connection
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..campaign.scheduler import _IDLE_WAIT_S, JobResult
+from ..campaign.scheduler import _IDLE_WAIT_S, JobResult, wait_or_wake
 from ..obs import METRICS, TRACER, absorb_obs
 from ..obs.log import get_logger
 from ..testing.faults import FAULTS
@@ -247,7 +246,6 @@ class TcpTransport:
     available.
     """
 
-    wait_when_idle = True
     remote = True
 
     def __init__(self, listen: Tuple[str, int] = ("127.0.0.1", 0),
@@ -299,17 +297,19 @@ class TcpTransport:
         self._finished: List[Tuple[int, object, JobResult]] = []
         self._requeue: List[Tuple[int, object, Optional[str]]] = []
         self._closed = False
+        self._wake = None
 
     # -- scheduler contract ------------------------------------------------
     def bind(self, runner: Callable, timeout_s: Optional[float],
              memory_limit_mb: Optional[int],
-             cost_of: Optional[Callable] = None) -> None:
+             cost_of: Optional[Callable] = None, wake=None) -> None:
         # ``runner`` is deliberately unused: the worker agent picks the
         # execution function from the unit's registered codec, so a
         # coordinator cannot ship arbitrary callables over the wire.
         self.timeout_s = timeout_s
         self.memory_limit_mb = memory_limit_mb
         self.cost_of = cost_of
+        self._wake = wake
 
     def _ready_workers(self) -> List[_RemoteWorker]:
         return [worker for worker in self._workers if worker.ready]
@@ -405,8 +405,7 @@ class TcpTransport:
         self._maintain(now)
         waitables = [self._listener] + \
             [worker.sock for worker in self._workers]
-        ready = mp_connection.wait(waitables,
-                                   timeout=self._wait_timeout(now))
+        ready = wait_or_wake(waitables, self._wake, self._wait_timeout(now))
         if self._listener in ready:
             self._accept()
         now = time.monotonic()

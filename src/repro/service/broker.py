@@ -18,10 +18,10 @@ fair-share source and multiplexes every admitted campaign through it:
   weight-2 tenant gets twice the fabric of a weight-1 tenant under
   contention; an idle tenant's unused slice goes to whoever is runnable.
 * When nothing is admissible the source yields the scheduler's ``None``
-  sentinel ("temporarily dry") after a bounded wait — the multiplex seam
-  added to :class:`~repro.campaign.scheduler.Scheduler` — so the run
-  loop keeps servicing in-flight work and re-probes; only broker
-  shutdown raises ``StopIteration`` and ends the run.
+  sentinel ("temporarily dry") at once — the multiplex seam of
+  :class:`~repro.campaign.scheduler.Scheduler` — and ``submit``,
+  ``cancel`` and ``drain`` call its ``wake()`` so the run loop re-probes;
+  only broker shutdown raises ``StopIteration`` and ends the run.
 * Results route back to their campaign **by task object identity**, not
   task id: two campaigns running the same case produce identical
   ``task_id`` strings, and the verdict-equivalence contract
@@ -44,14 +44,16 @@ breakdown, and a digest-validated
 
 Threading model: ONE broker thread drives the scheduler (and therefore
 every stream advance, compile, cancellation and settle); HTTP handlers
-only touch broker state under ``self._cond`` in short critical sections.
-Compiles run *outside* the lock, so a status query never waits on a
-frontend.
+only touch broker state under ``self._lock`` (reentrant) in short
+critical sections and wake the scheduler; nothing waits on the lock for
+work.  Compiles run *outside* the lock, so a status query never waits
+on a frontend.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import threading
 import time
 import uuid
@@ -81,11 +83,9 @@ _LOG = get_logger("service.broker")
 #: Admission-to-settle latency buckets (seconds): campaigns, not tasks.
 SETTLE_BOUNDS = (1.0, 5.0, 15.0, 60.0, 300.0)
 
-#: How long the fair source blocks waiting for admissible work before
-#: yielding the scheduler's "temporarily dry" sentinel.  Bounded so the
-#: scheduler's own run loop stays responsive (see the scheduler's
-#: session-multiplexing docs).
-_SOURCE_POLL_S = 0.1
+#: A tenant name: it keys quotas, the journal and metric labels, so it
+#: is bounded in length and alphabet.
+_TENANT_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]{0,63}")
 
 
 class CampaignSpec:
@@ -110,8 +110,8 @@ class CampaignSpec:
         if not isinstance(data, dict):
             raise ValueError("submission must be a JSON object")
         tenant = data.get("tenant", "anonymous")
-        if not isinstance(tenant, str) or not tenant.strip():
-            raise ValueError("'tenant' must be a non-empty string")
+        if not isinstance(tenant, str) or not _TENANT_RE.fullmatch(tenant):
+            raise ValueError(f"'tenant' must match {_TENANT_RE.pattern}")
         cases = data.get("cases")
         if not isinstance(cases, list) or not cases \
                 or not all(isinstance(c, str) and c.strip() for c in cases):
@@ -135,7 +135,7 @@ class CampaignSpec:
                                  f">= {minimum}")
             return value
 
-        return cls(tenant=tenant.strip(),
+        return cls(tenant=tenant,
                    case_ids=[c.strip() for c in cases],
                    variants=list(variants),
                    depth=integer("depth", 8, 1),
@@ -280,7 +280,7 @@ class CampaignBroker:
         self.transport_kind = "tcp" if getattr(transport, "remote", False) \
             else "local"
 
-        self._cond = threading.Condition()
+        self._lock = threading.RLock()
         self._campaigns: Dict[str, Campaign] = {}
         #: Admission order, for oldest-first picks within a tenant.
         self._order: List[str] = []
@@ -334,7 +334,7 @@ class CampaignBroker:
         ends once they settle.  Unlike :meth:`close` this does not join,
         so an HTTP handler can trigger it without deadlocking itself.
         """
-        with self._cond:
+        with self._lock:
             already = self._closed
             self._closed = True
             if cancel_pending:
@@ -343,7 +343,7 @@ class CampaignBroker:
                             and not campaign.cancel_requested:
                         campaign.cancel_requested = True
                         campaign.cancel_reason = "service shutdown"
-            self._cond.notify_all()
+            self._wake()
         if not already:
             _LOG.info("broker draining", cancel_pending=cancel_pending)
 
@@ -356,6 +356,11 @@ class CampaignBroker:
         self._sampler_stop.set()
         if self._sampler is not None:
             self._sampler.join(timeout=5.0)
+
+    def _wake(self) -> None:
+        """New work or a state change: make the broker thread re-probe."""
+        if self._scheduler is not None:
+            self._scheduler.wake()
 
     @property
     def running(self) -> bool:
@@ -436,7 +441,7 @@ class CampaignBroker:
         from ..campaign.jobs import expand_jobs
         from ..designs import case_by_id
 
-        with self._cond:
+        with self._lock:
             if self._closed:
                 raise QuotaError("service_shutting_down", 503,
                                  "the service is draining; no new "
@@ -495,13 +500,13 @@ class CampaignBroker:
             _LOG.info("campaign admitted", tenant=spec.tenant,
                       campaign=campaign_id, jobs=len(jobs),
                       cases=len(spec.case_ids))
-            self._cond.notify_all()
+            self._wake()
             return campaign
 
     def cancel(self, campaign_id: str,
                reason: str = "cancelled by client") -> Campaign:
         """Request cancellation; the broker thread applies it."""
-        with self._cond:
+        with self._lock:
             campaign = self._campaigns.get(campaign_id)
             if campaign is None:
                 raise KeyError(campaign_id)
@@ -514,19 +519,19 @@ class CampaignBroker:
                 _LOG.info("campaign cancel requested",
                           tenant=campaign.tenant, campaign=campaign_id,
                           reason=reason)
-                self._cond.notify_all()
+                self._wake()
             return campaign
 
     # -- queries (HTTP threads) --------------------------------------------
     def get(self, campaign_id: str) -> Campaign:
-        with self._cond:
+        with self._lock:
             campaign = self._campaigns.get(campaign_id)
             if campaign is None:
                 raise KeyError(campaign_id)
             return campaign
 
     def list_campaigns(self) -> List[Dict[str, object]]:
-        with self._cond:
+        with self._lock:
             return [self._campaigns[cid].summary() for cid in self._order]
 
     def subscribe(self, campaign_id: str,
@@ -538,7 +543,7 @@ class CampaignBroker:
         exactly the campaign's feed, gap- and duplicate-free: both
         happen under the broker lock.
         """
-        with self._cond:
+        with self._lock:
             campaign = self._campaigns.get(campaign_id)
             if campaign is None:
                 raise KeyError(campaign_id)
@@ -548,7 +553,7 @@ class CampaignBroker:
             return replay
 
     def unsubscribe(self, campaign_id: str, callback) -> None:
-        with self._cond:
+        with self._lock:
             campaign = self._campaigns.get(campaign_id)
             if campaign is not None and callback in campaign.subscribers:
                 campaign.subscribers.remove(callback)
@@ -573,7 +578,7 @@ class CampaignBroker:
                 "max_s": data.get("max"),
             }
             break
-        with self._cond:
+        with self._lock:
             transport = self.transport
             fleet: Dict[str, object] = {"transport": self.transport_kind}
             if transport is not None:
@@ -651,7 +656,7 @@ class CampaignBroker:
         except Exception as exc:  # pragma: no cover - defensive
             _LOG.error("broker thread crashed",
                        error=f"{type(exc).__name__}: {exc}")
-            with self._cond:
+            with self._lock:
                 self._fatal = f"{type(exc).__name__}: {exc}"
                 for campaign in self._campaigns.values():
                     if not campaign.settled:
@@ -675,9 +680,8 @@ class CampaignBroker:
         Runs in the broker thread.  Stream advances (compiles!) happen
         outside the lock; all bookkeeping inside it.
         """
-        deadline = time.monotonic() + _SOURCE_POLL_S
         while True:
-            with self._cond:
+            with self._lock:
                 to_cancel = [c for c in self._campaigns.values()
                              if c.cancel_requested and not c.cancel_applied]
                 for campaign in to_cancel:
@@ -685,7 +689,7 @@ class CampaignBroker:
                     campaign.stream_done = True
             for campaign in to_cancel:
                 self._apply_cancel(campaign)
-            with self._cond:
+            with self._lock:
                 for campaign in to_cancel:
                     self._maybe_settle(campaign)
                 if self._closed and all(c.settled for c
@@ -693,18 +697,14 @@ class CampaignBroker:
                     return StopIteration
                 campaign = self._pick()
                 if campaign is None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        return None
-                    self._cond.wait(remaining)
-                    continue
+                    return None
             # Advance the chosen campaign's stream OUTSIDE the lock: this
             # is where FT generation + compile happen, and status/submit
             # handlers must not block behind them.
             try:
                 item = next(campaign.stream)
             except StopIteration:
-                with self._cond:
+                with self._lock:
                     campaign.stream_done = True
                     self._maybe_settle(campaign)
                 continue
@@ -712,16 +712,16 @@ class CampaignBroker:
                 # stream_tasks isolates per-design failures itself; a
                 # raise here is a broker bug — fail the one campaign,
                 # never the service.
-                with self._cond:
+                with self._lock:
                     campaign.stream_done = True
                     campaign.error = f"{type(exc).__name__}: {exc}"
                     self._maybe_settle(campaign)
                 continue
             if isinstance(item, SourceNotice):
-                with self._cond:
+                with self._lock:
                     self._on_notice(campaign, item)
                 continue
-            with self._cond:
+            with self._lock:
                 usage = self.tenants.usage(campaign.tenant)
                 self._owners[id(item)] = campaign
                 campaign.live_ids.add(id(item))
@@ -786,7 +786,7 @@ class CampaignBroker:
         campaign.publish(_serialize_event(event))
 
     def _on_done(self, task: PropertyTask, result) -> None:
-        with self._cond:
+        with self._lock:
             campaign = self._owners.pop(id(task), None)
             if campaign is None:
                 return
@@ -824,7 +824,7 @@ class CampaignBroker:
 
     def _on_requeue(self, task: PropertyTask, worker_id) -> None:
         """A remote worker died holding this task; surface the event."""
-        with self._cond:
+        with self._lock:
             campaign = self._owners.get(id(task))
             if campaign is None:
                 return
@@ -839,7 +839,7 @@ class CampaignBroker:
         A retry is progress news, not a verdict: the task stays live and
         outstanding, so nothing is journaled — only subscribers see it.
         """
-        with self._cond:
+        with self._lock:
             campaign = self._owners.get(id(task))
             if campaign is None:
                 return
@@ -914,7 +914,6 @@ class CampaignBroker:
         })
         campaign.subscribers = []
         self._gc_settled()
-        self._cond.notify_all()
 
     def _gc_settled(self) -> None:
         """Evict settled campaigns past the retention policy (lock held).

@@ -231,3 +231,75 @@ class TestDeadlineLatency:
         # directly exposes enforcement latency past the 0.4s deadline.
         assert results[0].wall_time_s >= 0.4
         assert results[0].wall_time_s < 0.4 + 0.3, results[0].wall_time_s
+
+
+class TestWake:
+    """``Scheduler.wake()`` ends the run loop's one wait at once.
+
+    The idle bound is patched to 30 s (the fleet's heartbeat too), so a
+    late job could only be seen in time by being woken — a loop that
+    instead waited out its bound, or spun on the dry source, fails."""
+
+    @pytest.fixture(autouse=True)
+    def _long_idle_wait(self, monkeypatch):
+        from repro.campaign import scheduler
+        from repro.dist import coordinator
+
+        monkeypatch.setattr(scheduler, "_IDLE_WAIT_S", 30.0)
+        monkeypatch.setattr(coordinator, "_IDLE_WAIT_S", 30.0)
+
+    @staticmethod
+    def _run_late_job(transport):
+        """Run a source that is dry until a thread adds one job and
+        wakes the scheduler; returns (done events, probes, seconds)."""
+        import threading
+
+        from repro.campaign.scheduler import Scheduler
+
+        job = expand_jobs(case_ids=["E10"], variants=("fixed",),
+                          config=FAST_CONFIG)[0]
+        available = threading.Event()
+        probes = []
+
+        def source():
+            while not available.is_set():
+                probes.append(time.monotonic())
+                yield None
+            yield job
+
+        scheduler = Scheduler(source(), runner=_echo_runner,
+                              transport=transport)
+
+        def submit_late():
+            time.sleep(0.3)
+            available.set()
+            scheduler.wake()
+
+        threading.Thread(target=submit_late, daemon=True).start()
+        begin = time.monotonic()
+        done = [event for event in scheduler.run() if event[0] == "done"]
+        return done, probes, time.monotonic() - begin
+
+    def test_local_pool_wakes_on_new_work(self):
+        from repro.campaign.scheduler import LocalTransport
+
+        done, probes, elapsed = self._run_late_job(LocalTransport(1))
+        assert [event[3].job_id for event in done] == ["E10.fixed"]
+        assert done[0][3].ok
+        assert elapsed < 5.0, elapsed
+        # One probe before the wait, at most one spurious one: an idle
+        # local pool blocks on the wake channel instead of spinning.
+        assert len(probes) <= 2, len(probes)
+
+    def test_tcp_fleet_wakes_on_new_work(self):
+        from repro.dist import TcpTransport
+
+        transport = TcpTransport(heartbeat_s=30.0, liveness_timeout_s=120.0,
+                                 worker_timeout_s=60.0)
+        transport.spawn_local(1)
+        transport.wait_for_workers(1)
+        done, probes, elapsed = self._run_late_job(transport)
+        assert [event[3].job_id for event in done] == ["E10.fixed"]
+        assert done[0][3].ok, done[0][3].error
+        assert elapsed < 5.0, elapsed
+        assert len(probes) <= 2, len(probes)

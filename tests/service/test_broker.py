@@ -13,12 +13,16 @@ The acceptance contract of the service tentpole, asserted broker-level
   slots; a tenant over wall budget has its open campaigns cancelled.
 """
 
+import os
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.campaign import (expand_jobs, run_property_campaign,
-                            verdict_contract)
+import repro.service.broker as broker_module
+from repro.api.task import execute_task
+from repro.campaign import (ArtifactCache, expand_jobs,
+                            run_property_campaign, verdict_contract)
 from repro.formal.engine import EngineConfig
 from repro.service import (CampaignBroker, CampaignSpec, QuotaError,
                            TenantQuota, TenantRegistry)
@@ -163,3 +167,119 @@ class TestQuotaEnforcement:
             broker.submit(_spec("alice", ["A1"]))
         assert info.value.code == "service_shutting_down"
         assert info.value.http_status == 503
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=80),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=12), inner, max_size=4),
+    max_leaves=12)
+#: Submission bodies: any JSON, or objects over the real field names.
+_BODIES = st.one_of(_JSON, st.fixed_dictionaries({}, optional={
+    name: _JSON for name in ("tenant", "cases", "variants", "depth",
+                             "frames", "group_size", "schedule",
+                             "memory_limit_mb")}))
+
+
+class TestSubmissionParsing:
+    @settings(max_examples=200, deadline=None)
+    @given(_BODIES)
+    def test_arbitrary_json_raises_only_value_error(self, body):
+        try:
+            CampaignSpec.from_json(body)
+        except ValueError:
+            pass
+
+    @pytest.mark.parametrize("tenant", [
+        "anonymous", "alice", "t", "warm-up", "team-0", "team-11",
+        "new-3-7", "a.b_c-d", "x" * 64])
+    def test_tenant_names_in_use_are_accepted(self, tenant):
+        spec = CampaignSpec.from_json({"tenant": tenant, "cases": ["A1"]})
+        assert spec.tenant == tenant
+
+    @pytest.mark.parametrize("tenant", [
+        "", " alice", "alice ", "-lead", ".hidden", "a b", "a/b",
+        "t\n", "caf\u00e9", "x" * 65, 7, None])
+    def test_other_tenant_names_are_rejected(self, tenant):
+        with pytest.raises(ValueError, match="tenant"):
+            CampaignSpec.from_json({"tenant": tenant, "cases": ["A1"]})
+
+
+# -- wake: admission, cancellation and drain reach a waiting broker -------
+#: Read end of the pipe the blocking runner waits on (inherited by fork).
+_RELEASE_FD = None
+
+
+def _blocking_execute(task):
+    """Hold a worker slot on A2 until the test writes to the pipe."""
+    if task.design.startswith("A2"):
+        os.read(_RELEASE_FD, 1)
+    return execute_task(task)
+
+
+class TestWake:
+    """The broker thread's one wait ends on submit/cancel/drain.
+
+    The idle bound is patched to 30 s (the fleet's heartbeat too), so a
+    broker that is not woken can only pass by waiting that out."""
+
+    @pytest.fixture(autouse=True)
+    def _long_idle_wait(self, monkeypatch):
+        from repro.campaign import scheduler
+        from repro.dist import coordinator
+
+        monkeypatch.setattr(scheduler, "_IDLE_WAIT_S", 30.0)
+        monkeypatch.setattr(coordinator, "_IDLE_WAIT_S", 30.0)
+
+    def test_cached_campaign_settles_while_a_slot_is_busy(
+            self, monkeypatch, tmp_path):
+        global _RELEASE_FD
+        monkeypatch.setattr(broker_module, "execute_task",
+                            _blocking_execute)
+        release_r, release_w = os.pipe()
+        _RELEASE_FD = release_r
+        broker = CampaignBroker(
+            workers=2, cache=ArtifactCache(tmp_path / "cache")).start()
+        try:
+            warm = broker.submit(_spec("alice", ["E10"]))
+            _settle(broker, [warm], timeout_s=60.0)
+            blocker = broker.submit(CampaignSpec(
+                "bob", ["A2"], ["fixed"], group_size=10_000))
+            deadline = time.monotonic() + 30.0
+            while broker.transport.in_flight() < 1:
+                assert time.monotonic() < deadline, "blocker never ran"
+                time.sleep(0.01)
+            time.sleep(0.5)      # let the broker thread reach its wait
+            begin = time.monotonic()
+            cached = broker.submit(_spec("alice", ["E10"]))
+            _settle(broker, [cached], timeout_s=10.0)
+            elapsed = time.monotonic() - begin
+            assert not blocker.settled
+            assert cached.status == "completed"
+            assert cached.events and all(
+                event.from_cache for event in cached.events
+                if event.is_result)
+            assert elapsed < 5.0, elapsed
+        finally:
+            os.write(release_w, b"x")
+            broker.close()
+            os.close(release_r)
+            os.close(release_w)
+            _RELEASE_FD = None
+        assert blocker.status == "completed"
+
+    def test_close_on_idle_tcp_broker_returns_promptly(self):
+        from repro.dist import TcpTransport
+
+        transport = TcpTransport(heartbeat_s=30.0, liveness_timeout_s=120.0,
+                                 worker_timeout_s=60.0)
+        transport.spawn_local(1)
+        transport.wait_for_workers(1)
+        broker = CampaignBroker(transport=transport).start()
+        time.sleep(0.3)          # let the broker thread reach its wait
+        begin = time.monotonic()
+        broker.close(timeout_s=30.0)
+        elapsed = time.monotonic() - begin
+        assert not broker.running
+        assert elapsed < 5.0, elapsed
