@@ -52,8 +52,16 @@ def _load_baseline():
 
 
 def _latest_entry(entries, cases, depth, frames):
+    """The newest entry this script recorded for the same run shape.
+
+    Other scripts (``service_smoke.py``, ``chaos_smoke.py``) append to the
+    same file with their own run shapes and digests; only entries carrying
+    ``tcp_wall_s``, which ``--record`` below writes, are this gate's
+    baselines.
+    """
     for entry in reversed(entries):
-        if entry.get("cases") == cases and entry.get("depth") == depth \
+        if "tcp_wall_s" in entry and entry.get("cases") == cases \
+                and entry.get("depth") == depth \
                 and entry.get("frames") == frames:
             return entry
     return None

@@ -223,6 +223,7 @@ def main(argv=None) -> int:
               f"({checks})", file=sys.stderr)
         return 1
     service = _Service(broker.start())
+    started = time.monotonic()
     try:
         status, body = service.request("GET", "/healthz")
         if status != 200 or body["status"] != "ok":
@@ -366,6 +367,11 @@ def main(argv=None) -> int:
                 print(f"service-smoke: FAIL — /metrics missing {family}",
                       file=sys.stderr)
                 failures += 1
+        # The sampler has had two intervals by now only if the campaigns
+        # above took that long; a fast engine finishes sooner, so wait
+        # out the rest before asking for two samples.
+        time.sleep(max(0.0, started + 2.5 * broker.history.interval_s
+                       - time.monotonic()))
         status, history = service.request("GET", "/metrics/history")
         if status != 200 or len(history["samples"]) < 2:
             print(f"service-smoke: FAIL — history ring has "

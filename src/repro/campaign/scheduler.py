@@ -81,6 +81,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
 import socket
 import sys
 import time
@@ -241,7 +242,17 @@ def _child_main(conn, runner, job, memory_limit_mb) -> None:
     :func:`repro.obs.collect_obs`) or None; the fork-safety check inside
     the tracer/registry guarantees it holds only what *this* child
     recorded, never inherited parent state.
+
+    The child first drops the signal set-up it forked with: the worker
+    agent's SIGTERM drain handler and ``serve``'s asyncio handlers (and
+    their wakeup fd) would otherwise turn the ``terminate()`` that
+    enforces a wall-clock limit into a no-op.
     """
+    try:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.set_wakeup_fd(-1)
+    except (AttributeError, ValueError):
+        pass  # non-POSIX platform or not the main thread: nothing inherited
     try:
         if memory_limit_mb:
             limit = int(memory_limit_mb) * 1024 * 1024

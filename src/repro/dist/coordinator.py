@@ -261,6 +261,12 @@ class TcpTransport:
             raise ValueError("prefetch must be >= 0")
         if min_workers < 1:
             raise ValueError("min_workers must be >= 1")
+        if heartbeat_s >= liveness_timeout_s:
+            # The first ping would be due only after a healthy idle agent
+            # had already been declared dead.
+            raise ValueError(
+                f"heartbeat_s ({heartbeat_s}) must be below "
+                f"liveness_timeout_s ({liveness_timeout_s})")
         self.heartbeat_s = heartbeat_s
         self.liveness_timeout_s = liveness_timeout_s
         self.compile_grace_s = compile_grace_s

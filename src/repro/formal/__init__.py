@@ -8,7 +8,9 @@ Layers, bottom to top:
   pure-Python ``PySolver`` reference; both search identically.
 * :mod:`repro.formal.aig` — and-inverter graph for bit-level logic.
 * :mod:`repro.formal.transition` — sequential circuit + proof obligations.
-* :mod:`repro.formal.cnf` — Tseitin encoding / time-frame unrolling.
+* :mod:`repro.formal.cnf` — Tseitin encoding / time-frame unrolling
+  (on the native core, the AND walk runs in ``_satcore.c``'s AIG kernel,
+  which also runs PDR's ternary cube lifting).
 * :mod:`repro.formal.bmc` / :mod:`repro.formal.kinduction` /
   :mod:`repro.formal.liveness` — the checking algorithms.
 * :mod:`repro.formal.engines` — the pluggable proof-engine registry

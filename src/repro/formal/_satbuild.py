@@ -1,5 +1,9 @@
 """Build and load the native SAT core (``_satcore.c``).
 
+The same extension holds the AIG kernel the engine's encoder and PDR
+lifter run on next to the core, so one artifact and one source hash
+cover both.
+
 :func:`load` returns the compiled ``_satcore`` module, building it first
 when no artifact matches the current source.  The artifact lives in this
 package's ``__pycache__`` (ignored by git), named by a hash of the C

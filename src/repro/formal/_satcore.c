@@ -16,6 +16,10 @@
  * arena offsets past int32 raise OverflowError; a pending signal
  * (Ctrl-C) is raised at the next restart, with the trail at level 0.
  *
+ * The same module holds the AIG kernel (Aig, Encoder, Lifter; see its
+ * section below) that runs the engine's Tseitin encoding and PDR cube
+ * lifting directly on a core.
+ *
  * Built on first use by repro/formal/_satbuild.py.
  */
 
@@ -1057,17 +1061,18 @@ Core_dealloc(Core *s)
     Py_TYPE(s)->tp_free((PyObject *)s);
 }
 
-static PyObject *
-Core_new_var(Core *s, PyObject *Py_UNUSED(ignored))
+/* Allocate a fresh variable; returns it, or -1 with an exception set. */
+static int32_t
+core_new_var(Core *s)
 {
     int32_t var;
 
     if (s->num_vars >= INT32_MAX - 1) {
         PyErr_SetString(PyExc_OverflowError, "too many variables");
-        return NULL;
+        return -1;
     }
     if (reserve_vars(s, (Py_ssize_t)s->num_vars + 2) < 0)
-        return NULL;
+        return -1;
     var = ++s->num_vars;
     s->assign[var] = L_UNASSIGNED;
     s->level[var] = 0;
@@ -1076,8 +1081,20 @@ Core_new_var(Core *s, PyObject *Py_UNUSED(ignored))
     s->activity[var] = 0.0;
     s->heap_pos[var] = -1;
     heap_insert(s, var);
-    return PyLong_FromLong(var);
+    return var;
 }
+
+static PyObject *
+Core_new_var(Core *s, PyObject *Py_UNUSED(ignored))
+{
+    int32_t var = core_new_var(s);
+
+    return var < 0 ? NULL : PyLong_FromLong(var);
+}
+
+/* add_clause in three steps, shared by the Python method and the AIG
+ * encoder: clause_begin, clause_lit per (range-checked) literal until it
+ * reports the clause satisfied, then clause_end. */
 
 /* Drop add_clause's duplicate marks. */
 static void
@@ -1089,21 +1106,91 @@ clear_marks(Core *s)
         s->lit_mark[LIDX(s->clause.data[idx])] = 0;
 }
 
+/* Only for a solver that is still ok. */
+static void
+clause_begin(Core *s)
+{
+    cancel_until(s, 0);
+    s->clause.len = 0;
+}
+
+/* Returns 1 when the clause is satisfied at the root (a tautology or a
+ * true literal; the marks are then cleared and the clause is done), 0 to
+ * go on, -1 on error (marks cleared). */
+static int
+clause_lit(Core *s, int32_t lit)
+{
+    int val;
+
+    if (s->lit_mark[LIDX(-lit)]) {
+        clear_marks(s);
+        return 1;               /* tautology: trivially satisfied */
+    }
+    if (s->lit_mark[LIDX(lit)])
+        return 0;
+    val = LVAL(s->assign, lit);
+    if (val == L_TRUE) {
+        clear_marks(s);
+        return 1;               /* already satisfied at root level */
+    }
+    if (val == L_FALSE)
+        return 0;               /* falsified at root: drop the literal */
+    if (vec_push(&s->clause, lit) < 0) {
+        clear_marks(s);
+        return -1;
+    }
+    s->lit_mark[LIDX(lit)] = 1;
+    return 0;
+}
+
+/* Store the collected clause.  Returns 1 (ok), 0 (the formula became
+ * trivially UNSAT) or -1 (error). */
+static int
+clause_end(Core *s)
+{
+    int32_t conflict, offset;
+
+    clear_marks(s);
+    if (s->clause.len == 0) {
+        s->ok = 0;
+        return 0;
+    }
+    if (s->clause.len == 1) {
+        if (!enqueue(s, s->clause.data[0], 0)) {
+            s->ok = 0;
+            return 0;
+        }
+        if (propagate(s, &conflict) < 0)
+            return -1;
+        if (conflict) {
+            s->ok = 0;
+            return 0;
+        }
+        return 1;
+    }
+    if (reserve_clause(s, s->clause.len) < 0
+            || reserve_watches(s, s->clause.data[0], s->clause.data[1]) < 0)
+        return -1;
+    offset = alloc_clause(s, s->clause.data, s->clause.len, 0);
+    s->num_clauses++;
+    attach(s, offset);
+    return 1;
+}
+
 static PyObject *
 Core_add_clause(Core *s, PyObject *lits)
 {
     PyObject *seq, *item;
     Py_ssize_t idx;
-    int32_t lit, conflict, offset;
-    int kind, val, result;
+    int32_t lit;
+    int kind, status;
 
     if (!s->ok)
         Py_RETURN_FALSE;
-    cancel_until(s, 0);
+    clause_begin(s);
     seq = PySequence_Fast(lits, "clause literals must be iterable");
     if (seq == NULL)
         return NULL;
-    s->clause.len = 0;
     for (idx = 0; idx < PySequence_Fast_GET_SIZE(seq); idx++) {
         item = PySequence_Fast_GET_ITEM(seq, idx);
         Py_INCREF(item);
@@ -1112,60 +1199,22 @@ Core_add_clause(Core *s, PyObject *lits)
             if (kind != LIT_ERROR)
                 PyErr_Format(PyExc_ValueError, "invalid literal %R", item);
             Py_DECREF(item);
-            goto error;
+            clear_marks(s);
+            Py_DECREF(seq);
+            return NULL;
         }
         Py_DECREF(item);
-        if (s->lit_mark[LIDX(-lit)]) {
-            clear_marks(s);
+        status = clause_lit(s, lit);
+        if (status != 0) {
             Py_DECREF(seq);
-            Py_RETURN_TRUE;     /* tautology: trivially satisfied */
+            if (status < 0)
+                return NULL;
+            Py_RETURN_TRUE;
         }
-        if (s->lit_mark[LIDX(lit)])
-            continue;
-        val = LVAL(s->assign, lit);
-        if (val == L_TRUE) {
-            clear_marks(s);
-            Py_DECREF(seq);
-            Py_RETURN_TRUE;     /* already satisfied at root level */
-        }
-        if (val == L_FALSE)
-            continue;           /* falsified at root: drop the literal */
-        if (vec_push(&s->clause, lit) < 0)
-            goto error;
-        s->lit_mark[LIDX(lit)] = 1;
     }
-    clear_marks(s);
     Py_DECREF(seq);
-    if (s->clause.len == 0) {
-        s->ok = 0;
-        Py_RETURN_FALSE;
-    }
-    if (s->clause.len == 1) {
-        result = 1;
-        if (!enqueue(s, s->clause.data[0], 0)) {
-            result = 0;
-        }
-        else {
-            if (propagate(s, &conflict) < 0)
-                return finish(s, NULL);
-            if (conflict)
-                result = 0;
-        }
-        if (!result)
-            s->ok = 0;
-        return finish(s, bool_result(result));
-    }
-    if (reserve_clause(s, s->clause.len) < 0
-            || reserve_watches(s, s->clause.data[0], s->clause.data[1]) < 0)
-        return NULL;
-    offset = alloc_clause(s, s->clause.data, s->clause.len, 0);
-    s->num_clauses++;
-    attach(s, offset);
-    Py_RETURN_TRUE;
-error:
-    clear_marks(s);
-    Py_DECREF(seq);
-    return NULL;
+    status = clause_end(s);
+    return finish(s, status < 0 ? NULL : bool_result(status));
 }
 
 static PyObject *
@@ -1448,6 +1497,1006 @@ static PyTypeObject CoreType = {
     .tp_getset = Core_getset,
 };
 
+/* ------------------------------------------------------------------------ */
+/* AIG kernel: Tseitin encoding and ternary cube lifting                    */
+/* ------------------------------------------------------------------------ */
+
+/*
+ * Each repro.formal.cnf.Unroller on a native core hands its system's AIG
+ * over once, as int arrays indexed by node >> 1 (Aig, re-synced only when
+ * the graph grows), and the engine's two AIG walks run on it:
+ *
+ *   Encoder  Unroller._encode_node's iterative post-order Tseitin walk,
+ *            with the same new_var and add_clause order.  A latch the walk
+ *            meets unencoded goes back to Python: encode() or resume()
+ *            returns None and `pending` names the latch; Unroller._latch_sat
+ *            materializes it, then resume() continues the same walk.
+ *            Walks nest (_latch_sat encodes other frames meanwhile), so
+ *            the open walks form a stack.
+ *   Lifter   Pdr._lift_cube's incremental ternary simulation, reading the
+ *            model straight from the core's assignment.
+ *
+ * Both give exactly what the Python bodies give (the same variables,
+ * clauses and gate maps; the same cube), which
+ * tests/formal/test_aig_kernel.py checks.
+ */
+
+#define T_X 2
+
+enum { K_INPUT, K_AND, K_LATCH };
+
+typedef struct {
+    PyObject_HEAD
+    long next_node;             /* the AIG's _next_node at the last sync */
+    Py_ssize_t size;            /* node slots: next_node >> 1 */
+    int32_t *lhs;               /* [slot] fanin literals of an AND node */
+    int32_t *rhs;
+    uint8_t *kind;              /* [slot] K_INPUT, K_AND or K_LATCH */
+} Aig;
+
+static PyTypeObject AigType;
+
+/* Grow a per-slot array to `cap` entries, zero-filling the new ones. */
+static int
+grow_zeroed(void **data, Py_ssize_t old_cap, Py_ssize_t cap, size_t item)
+{
+    char *grown = PyMem_Realloc(*data, (size_t)cap * item);
+
+    if (grown == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    memset(grown + (size_t)old_cap * item, 0,
+           (size_t)(cap - old_cap) * item);
+    *data = grown;
+    return 0;
+}
+
+static PyObject *
+Aig_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {NULL};
+
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, ":Aig", kwlist))
+        return NULL;
+    return type->tp_alloc(type, 0);
+}
+
+static void
+Aig_dealloc(Aig *g)
+{
+    PyMem_Free(g->lhs);
+    PyMem_Free(g->rhs);
+    PyMem_Free(g->kind);
+    Py_TYPE(g)->tp_free((PyObject *)g);
+}
+
+static PyObject *
+Aig_sync(Aig *g, PyObject *args)
+{
+    PyObject *and_of, *latches, *key, *pair, *seq;
+    long next_node, node, lhs, rhs;
+    Py_ssize_t pos = 0, size, idx;
+
+    if (!PyArg_ParseTuple(args, "O!Ol:sync", &PyDict_Type, &and_of,
+                          &latches, &next_node))
+        return NULL;
+    if (next_node < 2 || next_node > INT32_MAX || next_node & 1) {
+        PyErr_SetString(PyExc_ValueError, "next_node out of range");
+        return NULL;
+    }
+    size = next_node >> 1;
+    if (size < g->size) {
+        PyErr_SetString(PyExc_ValueError, "an AIG never shrinks");
+        return NULL;
+    }
+    g->next_node = 0;           /* until the arrays are complete */
+    if (size > g->size) {
+        if (grow_zeroed((void **)&g->lhs, g->size, size, sizeof(int32_t)) < 0
+                || grow_zeroed((void **)&g->rhs, g->size, size,
+                               sizeof(int32_t)) < 0
+                || grow_zeroed((void **)&g->kind, g->size, size, 1) < 0)
+            return NULL;
+    }
+    g->size = size;
+    memset(g->kind, K_INPUT, (size_t)size);
+    while (PyDict_Next(and_of, &pos, &key, &pair)) {
+        node = PyLong_AsLong(key);
+        if (node == -1 && PyErr_Occurred())
+            return NULL;
+        if (!PyTuple_Check(pair) || PyTuple_GET_SIZE(pair) != 2) {
+            PyErr_SetString(PyExc_TypeError, "AND fanins must be a pair");
+            return NULL;
+        }
+        lhs = PyLong_AsLong(PyTuple_GET_ITEM(pair, 0));
+        if (lhs == -1 && PyErr_Occurred())
+            return NULL;
+        rhs = PyLong_AsLong(PyTuple_GET_ITEM(pair, 1));
+        if (rhs == -1 && PyErr_Occurred())
+            return NULL;
+        /* Fanins precede their gate, so ascending ids are topological. */
+        if (node < 2 || node & 1 || node >= next_node || lhs < 0
+                || rhs < 0 || lhs >> 1 >= node >> 1 || rhs >> 1 >= node >> 1) {
+            PyErr_Format(PyExc_ValueError, "malformed AND node %ld", node);
+            return NULL;
+        }
+        g->kind[node >> 1] = K_AND;
+        g->lhs[node >> 1] = (int32_t)lhs;
+        g->rhs[node >> 1] = (int32_t)rhs;
+    }
+    seq = PySequence_Fast(latches, "latch nodes must be iterable");
+    if (seq == NULL)
+        return NULL;
+    for (idx = 0; idx < PySequence_Fast_GET_SIZE(seq); idx++) {
+        node = PyLong_AsLong(PySequence_Fast_GET_ITEM(seq, idx));
+        if (node == -1 && PyErr_Occurred()) {
+            Py_DECREF(seq);
+            return NULL;
+        }
+        if (node < 2 || node & 1 || node >= next_node
+                || g->kind[node >> 1] == K_AND) {
+            PyErr_Format(PyExc_ValueError, "malformed latch node %ld", node);
+            Py_DECREF(seq);
+            return NULL;
+        }
+        g->kind[node >> 1] = K_LATCH;
+    }
+    Py_DECREF(seq);
+    g->next_node = next_node;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+Aig_get_next_node(Aig *g, void *closure)
+{
+    return PyLong_FromLong(g->next_node);
+}
+
+static PyMethodDef Aig_methods[] = {
+    {"sync", (PyCFunction)Aig_sync, METH_VARARGS,
+     "sync(and_of, latch_nodes, next_node): load the graph (AIG._and_of, "
+     "the system's latch nodes, AIG._next_node)."},
+    {NULL, NULL, 0, NULL}
+};
+
+static PyGetSetDef Aig_getset[] = {
+    {"next_node", (getter)Aig_get_next_node, NULL,
+     "AIG._next_node at the last sync (0 before the first).", NULL},
+    {NULL, NULL, NULL, NULL, NULL}
+};
+
+static PyTypeObject AigType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.formal._satcore.Aig",
+    .tp_doc = "A transition system's AIG as int arrays: Aig(), then sync().",
+    .tp_basicsize = sizeof(Aig),
+    .tp_itemsize = 0,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_new = Aig_new,
+    .tp_dealloc = (destructor)Aig_dealloc,
+    .tp_methods = Aig_methods,
+    .tp_getset = Aig_getset,
+};
+
+/* ---- Encoder ----------------------------------------------------------- */
+
+typedef struct {
+    int32_t *sat;               /* [slot] SAT literal; 0 = not known here */
+    Py_ssize_t cap;
+    PyObject *inputs;           /* the frame's input_sat dict */
+} EncFrame;
+
+typedef struct {
+    PyObject_HEAD
+    Aig *aig;
+    Core *core;
+    int32_t true_sat;
+    EncFrame *frames;
+    Py_ssize_t num_frames;
+    Py_ssize_t frames_cap;
+    IntVec stack;               /* nodes to encode, shared by nested walks */
+    IntVec walks;               /* (stack base, frame, root) per open walk */
+    int32_t pending;            /* the latch the last request asked for */
+} Encoder;
+
+static int
+frame_store(EncFrame *f, Py_ssize_t slot, int32_t lit, Py_ssize_t size)
+{
+    if (slot >= f->cap) {
+        Py_ssize_t cap = size > slot ? size : slot + 1;
+        if (grow_zeroed((void **)&f->sat, f->cap, cap, sizeof(int32_t)) < 0)
+            return -1;
+        f->cap = cap;
+    }
+    f->sat[slot] = lit;
+    return 0;
+}
+
+/* The SAT literal of `node` in frame `f`, or 0 when it has none yet.
+ * Gates live in f->sat only; inputs and latches are read through from the
+ * frame's input_sat dict (where Python writes them) and cached.  Returns
+ * -1 on error. */
+static int
+frame_lookup(Encoder *e, EncFrame *f, int32_t node, int32_t *out)
+{
+    Py_ssize_t slot = node >> 1;
+    PyObject *key, *item;
+    long lit;
+
+    if (slot < f->cap && f->sat[slot]) {
+        *out = f->sat[slot];
+        return 0;
+    }
+    *out = 0;
+    if (e->aig->kind[slot] == K_AND)
+        return 0;
+    key = PyLong_FromLong(node);
+    if (key == NULL)
+        return -1;
+    item = PyDict_GetItemWithError(f->inputs, key);
+    Py_DECREF(key);
+    if (item == NULL)
+        return PyErr_Occurred() ? -1 : 0;
+    lit = PyLong_AsLong(item);
+    if (lit == -1 && PyErr_Occurred())
+        return -1;
+    if (lit == 0 || lit > e->core->num_vars || lit < -e->core->num_vars) {
+        PyErr_Format(PyExc_ValueError,
+                     "input_sat maps node %d to invalid literal %ld",
+                     node, lit);
+        return -1;
+    }
+    if (frame_store(f, slot, (int32_t)lit, e->aig->size) < 0)
+        return -1;
+    *out = (int32_t)lit;
+    return 0;
+}
+
+/* A free variable for an unconstrained input node, recorded in the
+ * frame's input_sat like Python's encoder records it. */
+static int
+free_input(Encoder *e, EncFrame *f, int32_t node)
+{
+    PyObject *key, *value;
+    int32_t var = core_new_var(e->core);
+    int status;
+
+    if (var < 0)
+        return -1;
+    key = PyLong_FromLong(node);
+    value = PyLong_FromLong(var);
+    status = (key == NULL || value == NULL) ? -1
+        : PyDict_SetItem(f->inputs, key, value);
+    Py_XDECREF(key);
+    Py_XDECREF(value);
+    if (status < 0)
+        return -1;
+    return frame_store(f, node >> 1, var, e->aig->size);
+}
+
+/* solver.add_clause(lits) for literals of this core; -1 on error. */
+static int
+encode_clause(Core *s, const int32_t *lits, int count)
+{
+    int idx, status;
+
+    if (!s->ok)
+        return 0;
+    clause_begin(s);
+    for (idx = 0; idx < count; idx++) {
+        status = clause_lit(s, lits[idx]);
+        if (status)
+            return status < 0 ? -1 : 0;
+    }
+    return clause_end(s) < 0 ? -1 : 0;
+}
+
+/* Run the innermost open walk.  Returns 1 with its root's literal in
+ * *result (the walk is closed), 0 on a latch request (e->pending; the walk
+ * stays open) or -1 on error (the walk is dropped). */
+static int
+walk(Encoder *e, int32_t *result)
+{
+    Core *s = e->core;
+    Aig *g = e->aig;
+    int32_t *top = e->walks.data + e->walks.len - 3;
+    Py_ssize_t base = top[0], slot;
+    EncFrame *f = &e->frames[top[1]];
+    int32_t root = top[2], cur, node, lit, fanin[2], sat[2], out;
+    int32_t clause[3];
+    int idx, pushed;
+
+    while (e->stack.len > base) {
+        cur = e->stack.data[e->stack.len - 1];
+        slot = cur >> 1;
+        if (frame_lookup(e, f, cur, &lit) < 0)
+            goto error;
+        if (lit) {
+            e->stack.len--;
+            continue;
+        }
+        if (g->kind[slot] != K_AND) {
+            if (g->kind[slot] == K_LATCH) {
+                e->pending = cur;
+                return 0;
+            }
+            /* Unconstrained node (e.g. a symbolic variable created after
+             * this frame): a free SAT variable. */
+            if (free_input(e, f, cur) < 0)
+                goto error;
+            e->stack.len--;
+            continue;
+        }
+        fanin[0] = g->lhs[slot];
+        fanin[1] = g->rhs[slot];
+        pushed = 0;
+        for (idx = 0; idx < 2; idx++) {
+            node = fanin[idx] & ~1;
+            if (node == 0)
+                continue;
+            if (frame_lookup(e, f, node, &lit) < 0)
+                goto error;
+            if (!lit) {
+                if (vec_push(&e->stack, node) < 0)
+                    goto error;
+                pushed = 1;
+            }
+        }
+        if (pushed)
+            continue;
+        for (idx = 0; idx < 2; idx++) {
+            node = fanin[idx] & ~1;
+            lit = node ? f->sat[node >> 1] : -e->true_sat;
+            sat[idx] = fanin[idx] & 1 ? -lit : lit;
+        }
+        out = core_new_var(s);
+        if (out < 0)
+            goto error;
+        /* Tseitin clauses for out <-> lhs & rhs. */
+        clause[0] = -out;
+        clause[1] = sat[0];
+        if (encode_clause(s, clause, 2) < 0)
+            goto error;
+        clause[1] = sat[1];
+        if (encode_clause(s, clause, 2) < 0)
+            goto error;
+        clause[0] = out;
+        clause[1] = -sat[0];
+        clause[2] = -sat[1];
+        if (encode_clause(s, clause, 3) < 0)
+            goto error;
+        if (frame_store(f, slot, out, g->size) < 0)
+            goto error;
+        e->stack.len--;
+    }
+    if (frame_lookup(e, f, root, &lit) < 0)
+        goto error;
+    e->walks.len -= 3;
+    *result = lit;
+    return 1;
+error:
+    e->stack.len = base;
+    e->walks.len -= 3;
+    return -1;
+}
+
+static PyObject *
+run_walk(Encoder *e)
+{
+    PyObject *result;
+    int32_t lit;
+    int status = walk(e, &lit);
+
+    if (status < 0)
+        result = NULL;
+    else if (status == 0)
+        result = Py_NewRef(Py_None);
+    else
+        result = PyLong_FromLong(lit);
+    return finish(e->core, result);
+}
+
+static PyObject *
+Encoder_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"aig", "core", "true_sat", NULL};
+    PyObject *aig, *core;
+    int true_sat;
+    Encoder *e;
+
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O!O!i:Encoder", kwlist,
+                                     &AigType, &aig, &CoreType, &core,
+                                     &true_sat))
+        return NULL;
+    if (true_sat <= 0 || true_sat > ((Core *)core)->num_vars) {
+        PyErr_SetString(PyExc_ValueError, "true_sat must be a variable");
+        return NULL;
+    }
+    e = (Encoder *)type->tp_alloc(type, 0);
+    if (e == NULL)
+        return NULL;
+    e->aig = (Aig *)Py_NewRef(aig);
+    e->core = (Core *)Py_NewRef(core);
+    e->true_sat = true_sat;
+    return (PyObject *)e;
+}
+
+static void
+Encoder_dealloc(Encoder *e)
+{
+    Py_ssize_t idx;
+
+    for (idx = 0; idx < e->num_frames; idx++) {
+        PyMem_Free(e->frames[idx].sat);
+        Py_DECREF(e->frames[idx].inputs);
+    }
+    PyMem_Free(e->frames);
+    PyMem_Free(e->stack.data);
+    PyMem_Free(e->walks.data);
+    Py_XDECREF(e->aig);
+    Py_XDECREF(e->core);
+    Py_TYPE(e)->tp_free((PyObject *)e);
+}
+
+static PyObject *
+Encoder_add_frame(Encoder *e, PyObject *inputs)
+{
+    EncFrame *frames;
+    Py_ssize_t cap;
+
+    if (!PyDict_Check(inputs)) {
+        PyErr_SetString(PyExc_TypeError, "input_sat must be a dict");
+        return NULL;
+    }
+    if (e->num_frames == e->frames_cap) {
+        cap = e->frames_cap ? 2 * e->frames_cap : 8;
+        frames = PyMem_Realloc(e->frames, (size_t)cap * sizeof(EncFrame));
+        if (frames == NULL)
+            return PyErr_NoMemory();
+        e->frames = frames;
+        e->frames_cap = cap;
+    }
+    e->frames[e->num_frames].sat = NULL;
+    e->frames[e->num_frames].cap = 0;
+    e->frames[e->num_frames].inputs = Py_NewRef(inputs);
+    e->num_frames++;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+Encoder_encode(Encoder *e, PyObject *args)
+{
+    long node;
+    Py_ssize_t k;
+    int32_t lit;
+
+    if (!PyArg_ParseTuple(args, "ln:encode", &node, &k))
+        return NULL;
+    if (k < 0 || k >= e->num_frames) {
+        PyErr_SetString(PyExc_IndexError, "no such frame");
+        return NULL;
+    }
+    if (node < 0 || node & 1 || node >> 1 >= e->aig->size) {
+        PyErr_Format(PyExc_ValueError, "node %ld is not in the AIG", node);
+        return NULL;
+    }
+    if (node == 0)
+        return PyLong_FromLong(-e->true_sat);
+    if (frame_lookup(e, &e->frames[k], (int32_t)node, &lit) < 0)
+        return NULL;
+    if (lit)
+        return PyLong_FromLong(lit);
+    if (vec_reserve(&e->walks, 3) < 0 || vec_push(&e->stack, node) < 0)
+        return NULL;
+    e->walks.data[e->walks.len++] = (int32_t)(e->stack.len - 1);
+    e->walks.data[e->walks.len++] = (int32_t)k;
+    e->walks.data[e->walks.len++] = (int32_t)node;
+    return run_walk(e);
+}
+
+static PyObject *
+Encoder_resume(Encoder *e, PyObject *Py_UNUSED(ignored))
+{
+    if (e->walks.len == 0) {
+        PyErr_SetString(PyExc_RuntimeError, "no walk is waiting for a latch");
+        return NULL;
+    }
+    return run_walk(e);
+}
+
+static PyObject *
+Encoder_gates(Encoder *e, PyObject *arg)
+{
+    Py_ssize_t k = PyLong_AsSsize_t(arg), slot;
+    PyObject *out, *key, *value;
+    EncFrame *f;
+    int status;
+
+    if (k == -1 && PyErr_Occurred())
+        return NULL;
+    if (k < 0 || k >= e->num_frames) {
+        PyErr_SetString(PyExc_IndexError, "no such frame");
+        return NULL;
+    }
+    f = &e->frames[k];
+    out = PyDict_New();
+    if (out == NULL)
+        return NULL;
+    for (slot = 0; slot < f->cap && slot < e->aig->size; slot++) {
+        if (!f->sat[slot] || e->aig->kind[slot] != K_AND)
+            continue;
+        key = PyLong_FromSsize_t(slot << 1);
+        value = PyLong_FromLong(f->sat[slot]);
+        status = (key == NULL || value == NULL) ? -1
+            : PyDict_SetItem(out, key, value);
+        Py_XDECREF(key);
+        Py_XDECREF(value);
+        if (status < 0) {
+            Py_DECREF(out);
+            return NULL;
+        }
+    }
+    return out;
+}
+
+static PyObject *
+Encoder_get_pending(Encoder *e, void *closure)
+{
+    return PyLong_FromLong(e->pending);
+}
+
+static PyMethodDef Encoder_methods[] = {
+    {"add_frame", (PyCFunction)Encoder_add_frame, METH_O,
+     "add_frame(input_sat): open the next frame over its input_sat dict."},
+    {"encode", (PyCFunction)Encoder_encode, METH_VARARGS,
+     "encode(node, k): the node's SAT literal in frame k, or None when the "
+     "walk needs the latch `pending` first (then resume())."},
+    {"resume", (PyCFunction)Encoder_resume, METH_NOARGS,
+     "Continue the innermost walk after its latch request."},
+    {"gates", (PyCFunction)Encoder_gates, METH_O,
+     "gates(k): frame k's AND node -> SAT literal map."},
+    {NULL, NULL, 0, NULL}
+};
+
+static PyGetSetDef Encoder_getset[] = {
+    {"pending", (getter)Encoder_get_pending, NULL,
+     "The latch node the last request asked for.", NULL},
+    {NULL, NULL, NULL, NULL, NULL}
+};
+
+static PyTypeObject EncoderType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.formal._satcore.Encoder",
+    .tp_doc = "Unroller's Tseitin walk: Encoder(aig, core, true_sat).",
+    .tp_basicsize = sizeof(Encoder),
+    .tp_itemsize = 0,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_new = Encoder_new,
+    .tp_dealloc = (destructor)Encoder_dealloc,
+    .tp_methods = Encoder_methods,
+    .tp_getset = Encoder_getset,
+};
+
+/* ---- Lifter ------------------------------------------------------------ */
+
+typedef struct {
+    PyObject_HEAD
+    Aig *aig;
+    Core *core;
+    int32_t *model;             /* [slot] SAT literal of a model node, or 0 */
+    Py_ssize_t model_len;
+    int32_t *var_node;          /* [var] node of a cube variable, or 0 */
+    Py_ssize_t var_len;
+    /* Per-lift scratch indexed by slot: an entry counts only while its
+     * stamp equals the lift's epoch, so nothing is cleared between lifts. */
+    Py_ssize_t cap;
+    uint32_t epoch;
+    uint32_t *valued;           /* value[] and fanout[] are set */
+    uint32_t *visited;          /* in the union cone */
+    uint32_t *rooted;           /* a required node */
+    int8_t *value;              /* 0, 1 or T_X */
+    int32_t *fanout;            /* head of the in-cone fanout list, -1 = end */
+    IntVec edges;               /* (fanout node slot, next edge) pairs */
+    IntVec cone;
+    IntVec stack;
+    IntVec changed;             /* (slot, old value) pairs of a trial */
+    IntVec required;            /* (literal, wanted value) pairs */
+    IntVec kept;                /* cube positions kept */
+} Lifter;
+
+static int
+cmp_int32(const void *a, const void *b)
+{
+    int32_t x = *(const int32_t *)a, y = *(const int32_t *)b;
+
+    return (x > y) - (x < y);
+}
+
+static inline int
+ternary_and(const Aig *g, const int8_t *value, Py_ssize_t slot)
+{
+    int32_t lhs = g->lhs[slot], rhs = g->rhs[slot];
+    int a = value[lhs >> 1], b = value[rhs >> 1];
+
+    if (a != T_X)
+        a ^= lhs & 1;
+    if (b != T_X)
+        b ^= rhs & 1;
+    if (a == 0 || b == 0)
+        return 0;
+    return a == T_X || b == T_X ? T_X : 1;
+}
+
+/* A leaf's concrete value: the model's value for model nodes, else X. */
+static void
+read_leaf(Lifter *t, Py_ssize_t slot)
+{
+    int32_t lit = slot < t->model_len ? t->model[slot] : 0;
+
+    t->value[slot] = lit == 0 ? T_X : LVAL(t->core->assign, lit) == L_TRUE;
+    t->valued[slot] = t->epoch;
+    t->fanout[slot] = -1;
+}
+
+static int
+lifter_reserve(Lifter *t)
+{
+    Py_ssize_t cap = t->aig->size;
+
+    if (cap <= t->cap)
+        return 0;
+    if (grow_zeroed((void **)&t->valued, t->cap, cap, sizeof(uint32_t)) < 0
+            || grow_zeroed((void **)&t->visited, t->cap, cap,
+                           sizeof(uint32_t)) < 0
+            || grow_zeroed((void **)&t->rooted, t->cap, cap,
+                           sizeof(uint32_t)) < 0
+            || grow_zeroed((void **)&t->value, t->cap, cap, 1) < 0
+            || grow_zeroed((void **)&t->fanout, t->cap, cap,
+                           sizeof(int32_t)) < 0)
+        return -1;
+    t->cap = cap;
+    return 0;
+}
+
+/* Load `map` into a fresh zeroed array indexed by key >> shift.  Keys must
+ * be positive, below `limit` and multiples of 1 << shift; values nonzero
+ * and within [low, high]. */
+static int
+load_map(PyObject *map, int shift, long limit, long low, long high,
+         int32_t **out, Py_ssize_t *len, const char *what)
+{
+    PyObject *key, *value;
+    Py_ssize_t pos = 0;
+    long k, v;
+
+    *len = (Py_ssize_t)((limit + (1L << shift) - 1) >> shift);
+    *out = PyMem_Calloc((size_t)*len + 1, sizeof(int32_t));
+    if (*out == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    while (PyDict_Next(map, &pos, &key, &value)) {
+        k = PyLong_AsLong(key);
+        if (k == -1 && PyErr_Occurred())
+            return -1;
+        v = PyLong_AsLong(value);
+        if (v == -1 && PyErr_Occurred())
+            return -1;
+        if (k <= 0 || k >= limit || k & ((1L << shift) - 1) || v == 0
+                || v < low || v > high) {
+            PyErr_Format(PyExc_ValueError, "bad %s entry %ld: %ld",
+                         what, k, v);
+            return -1;
+        }
+        (*out)[k >> shift] = (int32_t)v;
+    }
+    return 0;
+}
+
+static PyObject *
+Lifter_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"aig", "core", "model", "var_to_node", NULL};
+    PyObject *aig, *core, *model, *var_to_node;
+    Lifter *t;
+    long num_vars, next_node;
+
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O!O!O!O!:Lifter", kwlist,
+                                     &AigType, &aig, &CoreType, &core,
+                                     &PyDict_Type, &model,
+                                     &PyDict_Type, &var_to_node))
+        return NULL;
+    t = (Lifter *)type->tp_alloc(type, 0);
+    if (t == NULL)
+        return NULL;
+    t->aig = (Aig *)Py_NewRef(aig);
+    t->core = (Core *)Py_NewRef(core);
+    num_vars = t->core->num_vars;
+    next_node = t->aig->next_node;
+    /* model: node -> SAT literal; var_to_node: SAT variable -> node. */
+    if (load_map(model, 1, next_node, -num_vars, num_vars, &t->model,
+                 &t->model_len, "model") < 0
+            || load_map(var_to_node, 0, num_vars + 1, 2, next_node - 1,
+                        &t->var_node, &t->var_len, "var_to_node") < 0) {
+        Py_DECREF(t);
+        return NULL;
+    }
+    return (PyObject *)t;
+}
+
+static void
+Lifter_dealloc(Lifter *t)
+{
+    PyMem_Free(t->model);
+    PyMem_Free(t->var_node);
+    PyMem_Free(t->valued);
+    PyMem_Free(t->visited);
+    PyMem_Free(t->rooted);
+    PyMem_Free(t->value);
+    PyMem_Free(t->fanout);
+    PyMem_Free(t->edges.data);
+    PyMem_Free(t->cone.data);
+    PyMem_Free(t->stack.data);
+    PyMem_Free(t->changed.data);
+    PyMem_Free(t->required.data);
+    PyMem_Free(t->kept.data);
+    Py_XDECREF(t->aig);
+    Py_XDECREF(t->core);
+    Py_TYPE(t)->tp_free((PyObject *)t);
+}
+
+/* Parse the (literal, wanted value) pairs into t->required. */
+static int
+load_required(Lifter *t, PyObject *required)
+{
+    PyObject *seq, *pair;
+    Py_ssize_t idx;
+    long lit;
+    int want;
+
+    seq = PySequence_Fast(required, "required must be iterable");
+    if (seq == NULL)
+        return -1;
+    t->required.len = 0;
+    for (idx = 0; idx < PySequence_Fast_GET_SIZE(seq); idx++) {
+        pair = PySequence_Fast(PySequence_Fast_GET_ITEM(seq, idx),
+                               "a requirement is a (literal, value) pair");
+        if (pair == NULL)
+            goto error;
+        if (PySequence_Fast_GET_SIZE(pair) != 2) {
+            PyErr_SetString(PyExc_ValueError,
+                            "a requirement is a (literal, value) pair");
+            Py_DECREF(pair);
+            goto error;
+        }
+        lit = PyLong_AsLong(PySequence_Fast_GET_ITEM(pair, 0));
+        want = lit == -1 && PyErr_Occurred()
+            ? -1 : PyObject_IsTrue(PySequence_Fast_GET_ITEM(pair, 1));
+        Py_DECREF(pair);
+        if (want < 0)
+            goto error;
+        if (lit < 0 || lit >> 1 >= t->aig->size) {
+            PyErr_Format(PyExc_ValueError,
+                         "literal %ld is not in the AIG", lit);
+            goto error;
+        }
+        if (vec_push(&t->required, (int32_t)lit) < 0
+                || vec_push(&t->required, want) < 0)
+            goto error;
+    }
+    Py_DECREF(seq);
+    return 0;
+error:
+    Py_DECREF(seq);
+    return -1;
+}
+
+/* The concrete pass: evaluate the union cone of the required nodes in
+ * ascending (topological) order, recording each node's in-cone fanout. */
+static int
+concrete_pass(Lifter *t)
+{
+    const Aig *g = t->aig;
+    uint32_t epoch = t->epoch;
+    Py_ssize_t idx, slot, cur, fanin;
+    int32_t *edge, lits[2];
+    int side;
+
+    t->cone.len = 0;
+    t->edges.len = 0;
+    for (idx = 0; idx < t->required.len; idx += 2) {
+        slot = t->required.data[idx] >> 1;
+        if (slot == 0 || t->rooted[slot] == epoch)
+            continue;
+        t->rooted[slot] = epoch;
+        if (g->kind[slot] != K_AND) {
+            if (t->valued[slot] != epoch)
+                read_leaf(t, slot);
+            continue;
+        }
+        if (t->visited[slot] == epoch)
+            continue;
+        t->visited[slot] = epoch;
+        t->stack.len = 0;
+        if (vec_push(&t->stack, (int32_t)slot) < 0)
+            return -1;
+        while (t->stack.len) {
+            cur = t->stack.data[--t->stack.len];
+            if (vec_push(&t->cone, (int32_t)cur) < 0)
+                return -1;
+            lits[0] = g->lhs[cur];
+            lits[1] = g->rhs[cur];
+            for (side = 0; side < 2; side++) {
+                fanin = lits[side] >> 1;
+                if (g->kind[fanin] == K_AND && t->visited[fanin] != epoch) {
+                    t->visited[fanin] = epoch;
+                    if (vec_push(&t->stack, (int32_t)fanin) < 0)
+                        return -1;
+                }
+            }
+        }
+    }
+    qsort(t->cone.data, (size_t)t->cone.len, sizeof(int32_t), cmp_int32);
+    for (idx = 0; idx < t->cone.len; idx++) {
+        slot = t->cone.data[idx];
+        lits[0] = g->lhs[slot];
+        lits[1] = g->rhs[slot];
+        for (side = 0; side < 2; side++) {
+            fanin = lits[side] >> 1;
+            if (t->valued[fanin] != epoch)
+                read_leaf(t, fanin);
+            if (fanin == 0)
+                continue;
+            if (vec_reserve(&t->edges, 2) < 0)
+                return -1;
+            edge = t->edges.data + t->edges.len;
+            edge[0] = (int32_t)slot;
+            edge[1] = t->fanout[fanin];
+            t->fanout[fanin] = (int32_t)(t->edges.len >> 1);
+            t->edges.len += 2;
+        }
+        t->value[slot] = (int8_t)ternary_and(g, t->value, slot);
+        t->valued[slot] = epoch;
+        t->fanout[slot] = -1;
+    }
+    return 0;
+}
+
+/* One trial: set `slot` to X and push X through its in-cone fanout.
+ * Returns 1 (and undoes every change) when a required node went X. */
+static int
+trial(Lifter *t, Py_ssize_t slot)
+{
+    const Aig *g = t->aig;
+    int8_t *value = t->value;
+    int32_t cur, out, edge, *changed;
+    Py_ssize_t idx;
+
+    t->changed.len = 0;
+    t->stack.len = 0;
+    if (vec_push(&t->changed, (int32_t)slot) < 0
+            || vec_push(&t->changed, value[slot]) < 0
+            || vec_push(&t->stack, (int32_t)slot) < 0)
+        return -1;
+    value[slot] = T_X;
+    while (t->stack.len) {
+        cur = t->stack.data[--t->stack.len];
+        if (t->rooted[cur] == t->epoch) {
+            changed = t->changed.data;
+            for (idx = 0; idx < t->changed.len; idx += 2)
+                value[changed[idx]] = (int8_t)changed[idx + 1];
+            return 1;
+        }
+        for (edge = t->fanout[cur]; edge >= 0;
+             edge = t->edges.data[2 * edge + 1]) {
+            out = t->edges.data[2 * edge];
+            if (value[out] != T_X && ternary_and(g, value, out) == T_X) {
+                if (vec_push(&t->changed, out) < 0
+                        || vec_push(&t->changed, value[out]) < 0
+                        || vec_push(&t->stack, out) < 0)
+                    return -1;
+                value[out] = T_X;
+            }
+        }
+    }
+    return 0;
+}
+
+static PyObject *
+Lifter_lift(Lifter *t, PyObject *args)
+{
+    PyObject *cube, *required, *seq, *out;
+    Py_ssize_t idx, slot;
+    long lit, var;
+    int32_t node;
+    int holds = 1, status, v;
+
+    if (!PyArg_ParseTuple(args, "OO:lift", &cube, &required))
+        return NULL;
+    if (lifter_reserve(t) < 0 || load_required(t, required) < 0)
+        return NULL;
+    if (++t->epoch == 0) {      /* wrapped: every old stamp could match */
+        memset(t->valued, 0, (size_t)t->cap * sizeof(uint32_t));
+        memset(t->visited, 0, (size_t)t->cap * sizeof(uint32_t));
+        memset(t->rooted, 0, (size_t)t->cap * sizeof(uint32_t));
+        t->epoch = 1;
+    }
+    t->value[0] = 0;
+    t->valued[0] = t->epoch;
+    t->fanout[0] = -1;
+    if (concrete_pass(t) < 0)
+        return NULL;
+    /* A requirement that fails even concretely fails every trial, so every
+     * literal is kept: skip the trials and return the whole cube. */
+    for (idx = 0; idx < t->required.len; idx += 2) {
+        lit = t->required.data[idx];
+        v = t->value[lit >> 1];
+        if (v == T_X || (v ^ (lit & 1)) != t->required.data[idx + 1]) {
+            holds = 0;
+            break;
+        }
+    }
+    seq = PySequence_Fast(cube, "cube must be iterable");
+    if (seq == NULL)
+        return NULL;
+    t->kept.len = 0;
+    for (idx = 0; holds && idx < PySequence_Fast_GET_SIZE(seq); idx++) {
+        lit = PyLong_AsLong(PySequence_Fast_GET_ITEM(seq, idx));
+        if (lit == -1 && PyErr_Occurred())
+            goto error;
+        var = lit < 0 ? -lit : lit;
+        node = var < t->var_len ? t->var_node[var] : 0;
+        if (node == 0) {
+            PyObject *key = PyLong_FromLong(var);
+            if (key != NULL) {
+                PyErr_SetObject(PyExc_KeyError, key);
+                Py_DECREF(key);
+            }
+            goto error;
+        }
+        slot = node >> 1;
+        if (slot >= t->cap || t->valued[slot] != t->epoch
+                || t->value[slot] == T_X)
+            continue;   /* outside the cone (or already X): no effect */
+        status = trial(t, slot);
+        if (status < 0 || (status && vec_push(&t->kept, (int32_t)idx) < 0))
+            goto error;
+    }
+    if (t->kept.len == 0) {
+        Py_DECREF(seq);
+        return Py_NewRef(cube);
+    }
+    out = PyTuple_New(t->kept.len);
+    if (out != NULL)
+        for (idx = 0; idx < t->kept.len; idx++)
+            PyTuple_SET_ITEM(out, idx, Py_NewRef(
+                PySequence_Fast_GET_ITEM(seq, t->kept.data[idx])));
+    Py_DECREF(seq);
+    return out;
+error:
+    Py_DECREF(seq);
+    return NULL;
+}
+
+static PyMethodDef Lifter_methods[] = {
+    {"lift", (PyCFunction)Lifter_lift, METH_VARARGS,
+     "lift(cube, required): Pdr._lift_cube on the core's current model."},
+    {NULL, NULL, 0, NULL}
+};
+
+static PyTypeObject LifterType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.formal._satcore.Lifter",
+    .tp_doc = "Pdr's ternary cube lifting: "
+              "Lifter(aig, core, model, var_to_node).",
+    .tp_basicsize = sizeof(Lifter),
+    .tp_itemsize = 0,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_new = Lifter_new,
+    .tp_dealloc = (destructor)Lifter_dealloc,
+    .tp_methods = Lifter_methods,
+};
+
 static struct PyModuleDef satcore_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_satcore",
@@ -1473,14 +2522,16 @@ PyInit__satcore(void)
         if (wall_key == NULL)
             return NULL;
     }
-    if (PyType_Ready(&CoreType) < 0)
+    if (PyType_Ready(&CoreType) < 0 || PyType_Ready(&AigType) < 0
+            || PyType_Ready(&EncoderType) < 0 || PyType_Ready(&LifterType) < 0)
         return NULL;
     module = PyModule_Create(&satcore_module);
     if (module == NULL)
         return NULL;
-    Py_INCREF(&CoreType);
-    if (PyModule_AddObject(module, "Solver", (PyObject *)&CoreType) < 0) {
-        Py_DECREF(&CoreType);
+    if (PyModule_AddType(module, &CoreType) < 0
+            || PyModule_AddType(module, &AigType) < 0
+            || PyModule_AddType(module, &EncoderType) < 0
+            || PyModule_AddType(module, &LifterType) < 0) {
         Py_DECREF(module);
         return NULL;
     }

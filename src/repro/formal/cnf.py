@@ -20,6 +20,11 @@ design the queries actually pulled in.
 Values of latches that were never encoded are reconstructed by concrete
 forward simulation at trace-extraction time (:meth:`Unroller.frame_values`),
 so counterexample waveforms stay complete.
+
+On the native SAT core the AND walk runs in C (``_satcore``'s ``Encoder``
+over the AIG as int arrays, :meth:`Unroller.native_aig`), with the same
+``new_var`` and ``add_clause`` order as :meth:`Unroller._encode_node`,
+which stays as the encoder for :class:`~repro.formal.sat.PySolver`.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from typing import Dict, List, Optional, Set
 
 from .aig import FALSE, TRUE
 from .coi import latch_support
-from .sat import Solver
+from .sat import Solver, native_kernel
 from .transition import TransitionSystem
 
 __all__ = ["FrameEnv", "Unroller"]
@@ -68,6 +73,25 @@ class Unroller:
         # SAT literals for the constants.
         self._true_sat = self.solver.new_var()
         self.solver.add_clause([self._true_sat])
+        #: The ``_satcore`` module when the solver runs on the native core
+        #: (then encoding runs there, on ``_aig``), else None.
+        self.kernel = native_kernel(self.solver)
+        self._encoder = None
+        if self.kernel is not None:
+            self._aig = self.kernel.Aig()
+            self._encoder = self.kernel.Encoder(
+                self.native_aig(), self.solver._impl, self._true_sat)
+
+    def native_aig(self):
+        """The system's AIG as the native kernel's int arrays, re-synced
+        whenever the graph has grown (monitors or queries built after the
+        unrolling started)."""
+        aig = self.system.aig
+        if self._aig.next_node != aig._next_node:
+            self._aig.sync(aig._and_of,
+                           [latch.node for latch in self.system.latches],
+                           aig._next_node)
+        return self._aig
 
     @property
     def num_frames(self) -> int:
@@ -82,6 +106,8 @@ class Unroller:
     def _push_frame(self) -> None:
         index = len(self._frames)
         env = FrameEnv(index)
+        if self._encoder is not None:
+            self._encoder.add_frame(env.input_sat)
         system = self.system
         # Primary inputs are free every cycle: a fresh variable each, eagerly
         # (cheap, and PDR's ternary lifting reads them back by node).
@@ -119,8 +145,23 @@ class Unroller:
     def _encode(self, aig_lit: int, env: FrameEnv) -> int:
         node = aig_lit & ~1
         negated = aig_lit & 1
-        sat = self._encode_node(node, env)
+        if self._encoder is None:
+            sat = self._encode_node(node, env)
+        else:
+            sat = self._encode_native(node, env)
         return -sat if negated else sat
+
+    def _encode_native(self, node: int, env: FrameEnv) -> int:
+        """:meth:`_encode_node` on the native kernel.  A latch the walk
+        meets unencoded comes back here for :meth:`_latch_sat`, then the
+        same walk resumes, so numbering matches the Python walk."""
+        self.native_aig()
+        encoder = self._encoder
+        sat = encoder.encode(node, env.index)
+        while sat is None:
+            self._latch_sat(encoder.pending, env)
+            sat = encoder.resume()
+        return sat
 
     def _frame0_latch(self, node: int) -> int:
         """Allocate frame 0's variable for a latch (reset-constrained

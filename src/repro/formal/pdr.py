@@ -135,6 +135,12 @@ class Pdr:
         frame0 = self.unroller.frame(0)
         self._model_sat: Dict[int, int] = dict(frame0.input_sat)
         self._cones: Dict[int, List[int]] = {}
+        # On the native core, lifting runs in C on the core's model.
+        self._lifter = None
+        if self.unroller.kernel is not None:
+            self._lifter = self.unroller.kernel.Lifter(
+                self.unroller.native_aig(), self.solver._impl,
+                self._model_sat, self._var_to_node)
 
     def _new_act(self) -> int:
         return self.solver.new_var()
@@ -157,7 +163,27 @@ class Pdr:
     # changes at most once per trial, and the result is exactly the full
     # re-evaluation with every dropped latch and the trial latch at X.  A
     # lift costs O(cone + fanout touched) instead of O(cube x cone).
+    #
+    # On the native core ``_lift`` runs this algorithm in C (``_satcore``'s
+    # ``Lifter``) and returns the same tuple; ``_lift_cube`` is the Python
+    # lifter for PySolver.
     _X = 2
+
+    def _lift(self, cube: Tuple[int, ...],
+              required: List[Tuple[int, bool]]) -> Tuple[int, ...]:
+        """Drop cube literals while all required (lit, value) stay
+        determined, on the native kernel when the solver has one."""
+        if self._lifter is None or not required:
+            return self._lift_cube(cube, required)
+        self.unroller.native_aig()
+        lifted = self._lifter.lift(cube, required)
+        self._count_lift(cube, lifted)
+        return lifted
+
+    @staticmethod
+    def _count_lift(cube: Tuple[int, ...], lifted: Tuple[int, ...]) -> None:
+        METRICS.counter("pdr.lift_literals").inc(len(cube))
+        METRICS.counter("pdr.lift_dropped").inc(len(cube) - len(lifted))
 
     def _cone(self, node: int) -> List[int]:
         """AND nodes of ``node``'s cone in topological order (node ids are
@@ -246,8 +272,7 @@ class Pdr:
                         values[out] = X
                         stack.append(out)
         lifted = tuple(kept) if kept else cube
-        METRICS.counter("pdr.lift_literals").inc(len(cube))
-        METRICS.counter("pdr.lift_dropped").inc(len(cube) - len(lifted))
+        self._count_lift(cube, lifted)
         return lifted
 
     def _constraint_requirements(self) -> List[Tuple[int, bool]]:
@@ -323,7 +348,7 @@ class Pdr:
                         solver_stats=self.solver.stats.as_dict())
                 continue
             cube = self._model_cube()
-            cube = self._lift_cube(
+            cube = self._lift(
                 cube, [(self.bad_lit, True)] + self._constraint_requirements())
             chain = self._block(cube, self._num_frames, chain_len=0)
             if chain is not None:
@@ -382,7 +407,7 @@ class Pdr:
                 node = self._var_to_node[abs(lit)]
                 latch = self.system.latch_of(node)
                 required.append((latch.next_lit, lit > 0))
-            predecessor = self._lift_cube(predecessor, required)
+            predecessor = self._lift(predecessor, required)
             self.solver.add_clause([-not_cube_act])  # retire
             result = self._block(predecessor, level - 1, chain_len + 1)
             if result is not None:

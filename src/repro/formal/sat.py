@@ -57,7 +57,7 @@ import time
 from typing import Callable, Iterable, List, Optional, Sequence
 
 __all__ = ["PySolver", "Solver", "SolverStats", "backend", "luby",
-           "native_core"]
+           "native_core", "native_kernel"]
 
 log = logging.getLogger(__name__)
 
@@ -825,6 +825,8 @@ class PySolver:
 # ----------------------------------------------------------------------
 _native: Optional[Callable[[], object]] = None
 _native_error: Optional[str] = None
+#: The loaded ``_satcore`` module (None until it loads).
+_module = None
 #: Constructor of the core every Solver runs on; set on the first Solver().
 _new_core: Optional[Callable[[], object]] = None
 
@@ -832,7 +834,7 @@ _new_core: Optional[Callable[[], object]] = None
 def native_core() -> Optional[Callable[[], object]]:
     """Constructor of the C core (each call: a new solver with its own
     :class:`SolverStats`), or None when it cannot be built or loaded."""
-    global _native, _native_error
+    global _native, _native_error, _module
     if _native is None and _native_error is None:
         try:
             from . import _satbuild
@@ -840,8 +842,24 @@ def native_core() -> Optional[Callable[[], object]]:
         except Exception as exc:  # no compiler, no headers, read-only tree
             _native_error = f"{type(exc).__name__}: {exc}"
         else:
+            _module = module
             _native = lambda: module.Solver(SolverStats())  # noqa: E731
     return _native
+
+
+def native_kernel(solver: "Solver"):
+    """The ``_satcore`` module when ``solver`` runs on its native core,
+    else None.
+
+    The module's AIG kernel (``Aig``, ``Encoder``, ``Lifter``) extends and
+    reads such a core directly; :mod:`repro.formal.cnf` and
+    :mod:`repro.formal.pdr` use it exactly then and run their Python
+    encoder and lifter on :class:`PySolver`.
+    """
+    impl = getattr(solver, "_impl", None)
+    if _module is not None and type(impl) is _module.Solver:
+        return _module
+    return None
 
 
 def _core_factory() -> Callable[[], object]:

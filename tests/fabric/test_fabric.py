@@ -101,6 +101,16 @@ class TestRemoteCaching:
 
 
 class TestPoolMembership:
+    @pytest.mark.parametrize("heartbeat_s, liveness_timeout_s",
+                             [(30.0, 30.0), (3600.0, 30.0), (2.0, 1.0)])
+    def test_heartbeat_must_beat_the_liveness_timeout(
+            self, heartbeat_s, liveness_timeout_s):
+        """A ping due only after the liveness window would get a healthy
+        idle agent declared dead before it is ever pinged."""
+        with pytest.raises(ValueError, match="heartbeat_s"):
+            TcpTransport(heartbeat_s=heartbeat_s,
+                         liveness_timeout_s=liveness_timeout_s)
+
     def test_wait_for_workers_and_capacity(self):
         transport = TcpTransport(min_workers=2)
         try:

@@ -103,7 +103,8 @@ class TestHeartbeatRtt:
             transport.close()
 
     def test_rtt_absent_before_any_echo(self):
-        transport = TcpTransport(min_workers=1, heartbeat_s=3600.0)
+        transport = TcpTransport(min_workers=1, heartbeat_s=3600.0,
+                                 liveness_timeout_s=7200.0)
         try:
             transport.spawn_local(1)
             transport.wait_for_workers(1, timeout_s=30.0)

@@ -94,7 +94,8 @@ class TestSessionResume:
             return sock
 
         transport = TcpTransport(min_workers=1, worker_timeout_s=60.0,
-                                 heartbeat_s=30.0)  # no timeout rescue
+                                 heartbeat_s=30.0,  # no timeout rescue
+                                 liveness_timeout_s=120.0)
         try:
             first = hello("zombie-session", resume=False)
             deadline = time.monotonic() + 10.0

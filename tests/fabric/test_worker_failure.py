@@ -169,10 +169,17 @@ class TestPoisonIsolation:
         _spawn_preloaded(transport, 1, monkeypatch)
         scheduler = Scheduler([slowunit.SleepTask("slow", 30.0, "S")],
                               timeout_s=0.5, transport=transport)
-        results = [event[3] for event in scheduler.run()
-                   if event[0] == "done"]
+        start = time.monotonic()
+        results = []
+        for event in scheduler.run():
+            if event[0] == "done":
+                results.append(event[3])
+                elapsed = time.monotonic() - start
         assert [r.status for r in results] == ["timeout"]
         assert "wall-clock limit (0.5s) exceeded" in results[0].error
+        # The agent's terminate() must stop the task child: a child that
+        # kept the agent's SIGTERM drain handler ran all 30 s.
+        assert elapsed < 5.0, f"timeout reported after {elapsed:.1f}s"
 
 
 class TestTransportLifecycle:
